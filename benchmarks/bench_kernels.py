@@ -141,7 +141,7 @@ def run_end_to_end(cells, scale_div: int, repeat: int, backend=None) -> dict:
 
 def run_profile(profile: str, repeat: int, backend=None) -> dict:
     if backend == "compiled":
-        # Pay the one-time JIT load/compile outside the timed region —
+        # Pay the one-time kernel build/load outside the timed region —
         # it is machine state, not per-run cost (workers warm up the
         # same way via the pool initializer).
         from repro import compiledsim

@@ -24,7 +24,7 @@ from typing import Callable
 
 from ..engine.runner import SchemeRecipe
 from ..graph.csr import CSRGraph
-from ..obs.observe import reject_recorder_keyword, resolve_observe
+from ..obs.observe import resolve_observe
 from .registry import (
     METHOD_ALIASES,
     SCHEMES,
@@ -133,7 +133,6 @@ def color_graph(
     config=None,
     observe=None,
     cache=None,
-    mex=None,
     faults=None,
     health=None,
     deadline_ms=None,
@@ -154,13 +153,13 @@ def color_graph(
         only in tight benchmark loops that verify separately).
     backend:
         Execution substrate for device schemes: ``"gpusim"`` (default),
-        ``"cpusim"``, ``"compiled"`` (gpusim with JIT-compiled host
+        ``"cpusim"``, ``"compiled"`` (gpusim with C-compiled host
         kernels — byte-identical results, faster wall-clock), or a
         backend/device instance.  Host-side methods (``sequential``,
         ``jp``, ...) reject it.
     backend_opts:
         Constructor keywords for a string ``backend=`` spec, e.g.
-        ``{"jit": "cc"}`` or ``{"cache_model": "hit_rate"}``.
+        ``{"seed": 3}`` or ``{"cache_model": "hit_rate"}``.
     context:
         A shared :class:`~repro.engine.context.ExecutionContext` — reuses
         cached graph uploads and pooled buffers across calls.
@@ -182,12 +181,6 @@ def color_graph(
         a :class:`~repro.parallel.ResultCache`.  A hit returns the stored
         result without entering the round loop (``result.cache_hit`` is
         True); a miss runs normally and stores the result.
-    mex:
-        Forbidden-color kernel strategy for this run: ``'bitmask'``
-        (default behavior), ``'bitmask:N'`` to change the word-count
-        fallback limit, or ``'sort'`` for the historical sort-based
-        kernel.  Results are byte-identical across strategies — only
-        wall-clock speed differs — so ``mex`` never enters cache keys.
     faults:
         Fault-injection plan (see :mod:`repro.faults`): a
         :class:`~repro.faults.FaultPlan`, a plan spec string
@@ -224,7 +217,6 @@ def color_graph(
         Colors, color count, iteration count and simulated timing.
     """
     method = resolve_method(method, METHODS, entry_point="color_graph")
-    reject_recorder_keyword("color_graph", kwargs)
     if config is not None:
         from ..engine.config import normalize_config
 
@@ -233,13 +225,13 @@ def color_graph(
             config,
             {
                 "backend": backend, "backend_opts": backend_opts,
-                "cache": cache, "mex": mex, "faults": faults,
+                "cache": cache, "faults": faults,
                 "health": health, "observe": observe,
                 "deadline_ms": deadline_ms,
             },
         )
         backend, backend_opts = merged["backend"], merged["backend_opts"]
-        cache, mex = merged["cache"], merged["mex"]
+        cache = merged["cache"]
         faults, health = merged["faults"], merged["health"]
         observe = merged["observe"]
         deadline_ms = merged["deadline_ms"]
@@ -304,62 +296,57 @@ def color_graph(
                 hit.validate(graph)
             return hit
 
-    from contextlib import nullcontext
+    if context is not None:
+        result = context.run(graph, method, validate=validate, **kwargs)
+    elif (
+        observation.active or robustness is not None
+        or control is not None
+    ) and method in ENGINE_RECIPES:
+        # Observed, fault-guarded or deadline-bound device runs route
+        # through an ephemeral context so the tracer sees uploads,
+        # kernels and transfers alike — and so the robustness layer
+        # gets the full engine treatment (injection sites, guards,
+        # rerun chain) and the deadline its round-boundary checks.
+        from ..engine.context import ExecutionContext
 
-    from .kernels import mex_strategy
+        spec = backend if backend is not None else kwargs.pop("device", None)
+        ctx = ExecutionContext(
+            backend=spec, observe=observation, faults=robustness,
+            deadline_ms=control, **dict(backend_opts or {}),
+        )
+        result = ctx.run(graph, method, validate=validate, **kwargs)
+    else:
+        if control is not None:
+            # Host schemes have no round loop; the budget is checked
+            # once at dispatch (an already-expired deadline still
+            # fails structurally instead of running to completion).
+            control.check("dispatch")
+        if backend_opts:
+            from ..engine.backend import resolve_backend
 
-    with mex_strategy(mex) if mex is not None else nullcontext():
-        if context is not None:
-            result = context.run(graph, method, validate=validate, **kwargs)
-        elif (
-            observation.active or robustness is not None
-            or control is not None
-        ) and method in ENGINE_RECIPES:
-            # Observed, fault-guarded or deadline-bound device runs route
-            # through an ephemeral context so the tracer sees uploads,
-            # kernels and transfers alike — and so the robustness layer
-            # gets the full engine treatment (injection sites, guards,
-            # rerun chain) and the deadline its round-boundary checks.
-            from ..engine.context import ExecutionContext
-
-            spec = backend if backend is not None else kwargs.pop("device", None)
-            ctx = ExecutionContext(
-                backend=spec, observe=observation, faults=robustness,
-                deadline_ms=control, **dict(backend_opts or {}),
+            kwargs["backend"] = resolve_backend(
+                backend, **dict(backend_opts)
             )
-            result = ctx.run(graph, method, validate=validate, **kwargs)
-        else:
-            if control is not None:
-                # Host schemes have no round loop; the budget is checked
-                # once at dispatch (an already-expired deadline still
-                # fails structurally instead of running to completion).
-                control.check("dispatch")
-            if backend_opts:
-                from ..engine.backend import resolve_backend
+        elif backend is not None:
+            kwargs["backend"] = backend
+        if robustness is not None:
+            # Host schemes have no round loop to guard, but the
+            # ambient bundle still collects kernel degradations, and
+            # ``validate`` is the audit.
+            from ..faults import runtime as fault_runtime
 
-                kwargs["backend"] = resolve_backend(
-                    backend, **dict(backend_opts)
-                )
-            elif backend is not None:
-                kwargs["backend"] = backend
-            if robustness is not None:
-                # Host schemes have no round loop to guard, but the
-                # ambient bundle still collects kernel degradations, and
-                # ``validate`` is the audit.
-                from ..faults import runtime as fault_runtime
-
-                with fault_runtime.activate(robustness):
-                    result = METHODS[method](graph, **kwargs)
-            else:
+            with fault_runtime.activate(robustness):
                 result = METHODS[method](graph, **kwargs)
-            if observation.tracer is not None:
-                _trace_host_run(observation.tracer, graph, result)
-            if observation.active:
-                result.extra.setdefault("observation", observation)
-            if validate:
-                result.validate(graph)
-            if robustness is not None:
-                result.extra["robustness"] = robustness.report()
+        else:
+            result = METHODS[method](graph, **kwargs)
+        if observation.tracer is not None:
+            _trace_host_run(observation.tracer, graph, result)
+        if observation.active:
+            result.extra.setdefault("observation", observation)
+        if validate:
+            result.validate(graph)
+        if robustness is not None:
+            result.extra["robustness"] = robustness.report()
     if cache_obj is not None:
         cache_obj.put(cache_key, result)
     return result

@@ -26,8 +26,7 @@ The typed surface (PR 8): the constructor accepts a
 :class:`~repro.engine.config.RunConfig` for full recolors); batch ops
 and :meth:`result` return :class:`ColoringResult` with the same
 versioned ``to_dict(schema_version=1)`` mapping as ``color_graph``.
-The old bare-``colors``-array constructor shape still works behind a
-:class:`DeprecationWarning` shim.
+Seeding or adopting a bare colors array raises :class:`TypeError`.
 
 Quality drift: local repair can only grow the palette, so
 ``max_drift=k`` arms *compaction* — when the maintained palette exceeds
@@ -54,15 +53,13 @@ __all__ = ["DynamicColoring", "normalize_edits"]
 EDIT_KINDS = ("insert", "delete", "add_vertex")
 
 
-def _warn_colors_array(where: str) -> None:
-    from ..deprecation import warn_once
-
-    warn_once(
-        "dynamic-colors-array",
-        f"{where} with a bare colors array is deprecated; pass the "
-        f"ColoringResult a scheme returned (typed surface) instead",
-        stage="deprecated",
-    )
+def _colors_of(coloring, where: str) -> np.ndarray:
+    if not isinstance(coloring, ColoringResult):
+        raise TypeError(
+            f"{where} takes the ColoringResult a scheme returned, not "
+            f"{type(coloring).__name__}"
+        )
+    return coloring.colors
 
 
 def normalize_edits(edits) -> list[tuple]:
@@ -100,10 +97,9 @@ class DynamicColoring:
         Optional starting topology (a :class:`~repro.graph.csr.CSRGraph`);
         omit to grow a graph from nothing via :meth:`add_vertex`.
     coloring:
-        Optional starting coloring: a :class:`ColoringResult` (the typed
-        surface) — or a bare color array, which still works behind a
-        :class:`DeprecationWarning`.  Default: a fresh coloring of
-        ``graph`` via ``method``/``config``.
+        Optional starting coloring: the :class:`ColoringResult` a scheme
+        returned.  Default: a fresh coloring of ``graph`` via
+        ``method``/``config``.
     method:
         Scheme used for fresh colorings and full recolors
         (:meth:`recolor`); the sequential greedy default skips the
@@ -126,12 +122,7 @@ class DynamicColoring:
         method: str = "sequential",
         config=None,
         max_drift: int | None = None,
-        colors: np.ndarray | None = None,
     ):
-        if colors is not None:
-            _warn_colors_array("DynamicColoring(colors=...)")
-            if coloring is None:
-                coloring = colors
         from ..engine.config import resolve_run_config
 
         self._method = method
@@ -149,11 +140,8 @@ class DynamicColoring:
                          for v in range(graph.num_vertices)]
             if coloring is None:
                 arr = self._fresh_colors(graph)
-            elif isinstance(coloring, ColoringResult):
-                arr = coloring.colors
             else:
-                _warn_colors_array("DynamicColoring(graph, <array>)")
-                arr = np.asarray(coloring)
+                arr = _colors_of(coloring, "DynamicColoring(graph, coloring)")
             if arr.shape != (graph.num_vertices,):
                 raise ValueError("colors must have one entry per vertex")
             self._colors = arr.astype(COLOR_DTYPE).copy()
@@ -421,14 +409,9 @@ class DynamicColoring:
 
         The service session layer routes compaction through the engine
         pool and hands the :class:`ColoringResult` back here; the drift
-        baseline resets to the adopted palette.  Bare arrays go through
-        the same deprecation shim as the constructor.
+        baseline resets to the adopted palette.
         """
-        if isinstance(coloring, ColoringResult):
-            arr = coloring.colors
-        else:
-            _warn_colors_array("DynamicColoring.adopt(<array>)")
-            arr = np.asarray(coloring)
+        arr = _colors_of(coloring, "DynamicColoring.adopt()")
         if arr.shape != (self.num_vertices,):
             raise ValueError("adopted colors must have one entry per vertex")
         self._colors = arr.astype(COLOR_DTYPE).copy()

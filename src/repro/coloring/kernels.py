@@ -23,7 +23,6 @@ hardware behavior either way.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ __all__ = [
     "KernelScratch",
     "expand_segments",
     "min_excluded_colors",
-    "set_mex_strategy",
-    "mex_strategy",
     "speculative_color_step",
     "speculative_color_waved",
     "resident_thread_capacity",
@@ -280,56 +277,18 @@ class KernelScratch:
 
 
 # ----------------------------------------------------------------------
-# Minimum-excluded-color (mex) strategies
+# Minimum-excluded-color (mex) kernels
 # ----------------------------------------------------------------------
 #: Default word budget for the bitmask mex: segments whose neighbor colors
 #: span more than ``64 * words`` distinct values fall back to the sort path
 #: (the per-word OR sweep would cost more than one O(E log E) sort).
 DEFAULT_MEX_WORDS = 8
 
-_MEX_STRATEGY: tuple[str, int] = ("bitmask", DEFAULT_MEX_WORDS)
-
-
-def _parse_mex_strategy(spec) -> tuple[str, int]:
-    """Normalize a mex-strategy spec: ``'sort'``, ``'bitmask'``, ``'bitmask:N'``."""
-    if isinstance(spec, tuple):
-        spec = f"{spec[0]}:{spec[1]}"
-    name, _, words = str(spec).partition(":")
-    if name == "sort":
-        return ("sort", 0)
-    if name == "bitmask":
-        limit = int(words) if words else DEFAULT_MEX_WORDS
-        if limit < 1:
-            raise ValueError(f"bitmask word budget must be >= 1, got {limit}")
-        return ("bitmask", limit)
-    raise ValueError(
-        f"unknown mex strategy {spec!r}; expected 'sort', 'bitmask' or 'bitmask:N'"
-    )
-
-
-def set_mex_strategy(spec) -> tuple[str, int]:
-    """Set the process-wide mex strategy; returns the previous one."""
-    global _MEX_STRATEGY
-    previous = _MEX_STRATEGY
-    _MEX_STRATEGY = _parse_mex_strategy(spec)
-    return previous
-
-
-@contextlib.contextmanager
-def mex_strategy(spec):
-    """Scoped mex-strategy override (the engine's ``mex=`` option)."""
-    previous = set_mex_strategy(spec)
-    try:
-        yield
-    finally:
-        global _MEX_STRATEGY
-        _MEX_STRATEGY = previous
-
 
 def _mex_sort(
     seg_ids: np.ndarray, nbr_colors: np.ndarray, num_segments: int
 ) -> np.ndarray:
-    """Sort-based exact mex (the historical path; unbounded color range).
+    """Sort-based exact mex (unbounded color range, any segment order).
 
     After per-segment dedup and sort, an entry with color ``rank+1`` proves
     colors ``1..rank+1`` are all present (the entries below it are distinct
@@ -434,13 +393,13 @@ def min_excluded_colors(
 ) -> np.ndarray:
     """Smallest positive color absent from each segment's neighbor colors.
 
-    Dispatches on the process-wide strategy (see :func:`set_mex_strategy` /
-    the engine's ``mex=`` option): ``bitmask`` (default) packs forbidden
-    colors into uint64 words and ORs them per segment; ``sort`` is the
-    historical dedup-sort formulation.  Both are exact and byte-identical.
-    ``assume_sorted`` lets callers whose ``seg_ids`` are sorted by
-    construction (CSR expansions) skip the bitmask path's runtime check —
-    it matters in the wave loop, which calls this once per 32-thread wave.
+    Runs the bitmask kernel, which packs forbidden colors into uint64
+    words and ORs them per segment; palettes wider than
+    :data:`DEFAULT_MEX_WORDS` words and unsorted segment streams take the
+    exact sort formulation instead.  ``assume_sorted`` lets callers whose
+    ``seg_ids`` are sorted by construction (CSR expansions) skip the
+    bitmask path's runtime check — it matters in the wave loop, which
+    calls this once per 32-thread wave.
     """
     if num_segments == 0:
         return np.zeros(0, dtype=COLOR_DTYPE)
@@ -451,12 +410,10 @@ def min_excluded_colors(
         compiled = _compiled.mex_sorted(seg_ids, nbr_colors, num_segments)
         if compiled is not None:
             return compiled
-    mode, words = _MEX_STRATEGY
-    if mode == "bitmask":
-        return _mex_bitmask(
-            seg_ids, nbr_colors, num_segments, words, assume_sorted=assume_sorted
-        )
-    return _mex_sort(seg_ids, nbr_colors, num_segments)
+    return _mex_bitmask(
+        seg_ids, nbr_colors, num_segments, DEFAULT_MEX_WORDS,
+        assume_sorted=assume_sorted,
+    )
 
 
 def speculative_color_step(

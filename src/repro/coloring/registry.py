@@ -19,11 +19,14 @@ import difflib
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from ..engine.config import RunConfig
+
 __all__ = [
     "SchemeInfo",
     "SCHEMES",
-    "ExecutionOptions",
+    "CALL_KEYWORDS",
     "ENGINE_KEYWORDS",
+    "execution_option_rows",
     "METHOD_ALIASES",
     "scheme_options",
     "resolve_method",
@@ -42,79 +45,29 @@ def _opt(default, doc: str):
     return field(default=default, metadata={"doc": doc})
 
 
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """Scheme-independent options the execution layer consumes.
-
-    These keywords are legal on every method key; ``validate_options``
-    never forwards them to a scheme, and the did-you-mean machinery
-    suggests them for near-miss spellings.  The docs table is generated
-    from this dataclass (:func:`execution_table_markdown`).
-    """
-
-    backend: Any = _opt(None, "execution substrate for device schemes: "
-                              "'gpusim' (default), 'cpusim', 'compiled' "
-                              "(JIT-accelerated gpusim, identical results), "
-                              "or an instance")
-    backend_opts: Any = _opt(None, "constructor kwargs for a string "
-                                   "backend= spec (e.g. jit=, seed=, "
-                                   "cache_model=); rejected alongside a "
-                                   "backend *instance*")
-    config: Any = _opt(None, "a RunConfig bundling the options on this "
-                             "table; merged with explicit keywords, "
-                             "setting one both ways is an error")
-    device: Any = _opt(None, "legacy spelling: a Device wrapped in a GpuSimBackend")
-    context: Any = _opt(None, "shared ExecutionContext (cached uploads, pooled buffers)")
-    observe: Any = _opt(None, "observation surface: 'trace'/'profile'/'rounds', "
-                              "a Tracer, a Recorder, or an Observation")
-    workers: Any = _opt(None, "process-pool size for color_many "
-                              "(None/0/1 = serial in-process)")
-    scheduler: Any = _opt(None, "'serial', 'process', or a Scheduler instance "
-                                "(default: inferred from workers=)")
-    cache: Any = _opt(None, "content-addressed result cache: 'memory', a "
-                            "directory path, or a ResultCache")
-    store: Any = _opt(None, "graph arena for worker processes: 'heap' "
-                            "(pickle, default), 'shm' (shared-memory "
-                            "segments), 'mmap'/'mmap:<dir>' (on-disk "
-                            "containers), or a GraphStore instance "
-                            "(see docs/STORAGE.md)")
-    mex: Any = _opt(None, "forbidden-color kernel strategy: 'bitmask', "
-                          "'bitmask:N' (word limit), or 'sort' "
-                          "(results are identical; speed differs)")
-    faults: Any = _opt(None, "fault-injection plan: a FaultPlan, a plan "
-                             "spec string ('seed=7; site: k=v, ...'), or a "
-                             "Robustness bundle (see docs/ROBUSTNESS.md)")
-    health: Any = _opt(None, "guard-rail policy: 'strict', 'off', or a "
-                             "HealthPolicy (watchdog, invariants, audit, "
-                             "degradation chains)")
-    devices: Any = _opt(None, "simulated device count for "
-                              "color_distributed (one contiguous shard "
-                              "per device; colors are identical across "
-                              "device counts, so this never forks cache "
-                              "keys)")
-    topology: Any = _opt(None, "interconnect model pricing the halo "
-                               "exchange: 'pcie' (shared bus), 'nvlink' "
-                               "(all-to-all), 'ring', or a Topology "
-                               "instance (cost model only; never enters "
-                               "cache keys)")
-    deadline_ms: Any = _opt(None, "wall-clock budget in milliseconds, "
-                                  "checked cooperatively at round "
-                                  "boundaries; expiry raises a structured "
-                                  "DeadlineExceeded (never enters cache "
-                                  "keys — see docs/ROBUSTNESS.md)")
-
-    @classmethod
-    def option_rows(cls) -> list[tuple[str, object, str]]:
-        """(name, default, doc) per option, for tables and errors."""
-        return [
-            (f.name, f.default, f.metadata.get("doc", ""))
-            for f in fields(cls)
-        ]
+#: Keywords that shape the call rather than the run, legal next to
+#: :class:`~repro.engine.config.RunConfig`'s fields: ``(name, doc)``.
+CALL_KEYWORDS = (
+    ("config", "a RunConfig bundling the options on this table; merged "
+               "with explicit keywords, setting one both ways is an error"),
+    ("device", "legacy spelling: a Device wrapped in a GpuSimBackend"),
+    ("context", "shared ExecutionContext (cached uploads, pooled buffers)"),
+)
 
 
-#: Keywords consumed by the execution layer, never by a scheme —
-#: derived from the typed :class:`ExecutionOptions` surface.
-ENGINE_KEYWORDS = frozenset(f.name for f in fields(ExecutionOptions))
+def execution_option_rows() -> list[tuple[str, object, str]]:
+    """(name, default, doc) per scheme-independent execution keyword:
+    every :class:`~repro.engine.config.RunConfig` field, then
+    :data:`CALL_KEYWORDS`."""
+    return [
+        (f.name, f.default, f.metadata["doc"]) for f in fields(RunConfig)
+    ] + [(name, None, doc) for name, doc in CALL_KEYWORDS]
+
+
+#: Keywords consumed by the execution layer, never by a scheme;
+#: ``validate_options`` never forwards them, and the did-you-mean
+#: machinery suggests them for near-miss spellings.
+ENGINE_KEYWORDS = frozenset(name for name, _, _ in execution_option_rows())
 
 
 @dataclass(frozen=True)
@@ -374,12 +327,12 @@ def scheme_table_markdown() -> str:
 
 def execution_table_markdown() -> str:
     """The docs/API.md execution-options table, generated from
-    :class:`ExecutionOptions` (the scheme-independent keywords)."""
+    :func:`execution_option_rows` (the scheme-independent keywords)."""
     lines = [
         "| option (default) | consumed by |",
         "|---|---|",
     ]
-    for name, default, doc in ExecutionOptions.option_rows():
+    for name, default, doc in execution_option_rows():
         lines.append(f"| `{name}={default!r}` | {doc} |")
     return "\n".join(lines)
 

@@ -4,9 +4,7 @@ Builds :data:`repro.compiledsim.csrc.KERNELS_C` into a shared library
 with the system C compiler and binds it through :mod:`ctypes`.  The
 build is disk-cached: the library lands in a per-user cache directory
 keyed by a hash of the source (plus compiler identity), so a machine
-pays the ~1 s compile exactly once — analogous to numba's
-``cache=True`` on-disk kernel cache, which this tier substitutes for
-when numba itself is not importable.
+pays the ~1 s compile exactly once.
 
 Everything here degrades by returning ``None``/raising into the tier
 probe in :mod:`repro.compiledsim.runtime`; no hard dependency on a

@@ -27,9 +27,10 @@ is safe:
   :func:`scope` (which :class:`~repro.engine.backend.CompiledSimBackend`
   wraps around each round loop) activates ``_K`` for the dynamic extent
   of a run.  The helper threads a run spawns must see it, so it is not
-  thread-local.  Concurrent scopes share the first scope's table and the
-  last one out deactivates it; every tier is exact, so which tier a
-  concurrent run happens to use changes wall-clock only, never results.
+  thread-local.  ``_K`` only ever holds the single table
+  :func:`~repro.compiledsim.runtime.get_kernels` resolved for the
+  process, so every concurrent run sees the same tier; the last scope
+  out deactivates it.
 
 Only the *functional* halves are replaced.  Pricing — the trace
 descriptors charged per access — is emitted by the same unchanged code
@@ -45,12 +46,10 @@ import numpy as np
 
 from . import runtime
 
-__all__ = ["scope", "active", "tier"]
+__all__ = ["scope", "active"]
 
-#: Compiled kernel table while a scope is active, else None.
+#: The resolved kernel table while a scope is active, else None.
 _K: dict | None = None
-#: Resolved tier name of the active scope (for result metadata).
-_TIER: str | None = None
 #: Scopes open across all threads; guarded by ``_SCOPE_LOCK``.
 _OPEN_SCOPES = 0
 _SCOPE_LOCK = threading.Lock()
@@ -68,8 +67,9 @@ class _Arena:
         #: slot is live iff its gen equals the call's epoch — replaces a
         #: per-call memset).
         self.epoch = 0
-        #: Persistent mex generation counter (stamp arrays never need
-        #: clearing; uint64 generations cannot realistically collide).
+        #: Persistent mex generation counter (stamp arrays, zeroed once
+        #: on allocation, never need clearing; uint64 generations cannot
+        #: realistically wrap).
         self.gen = np.ones(1, dtype=np.uint64)
 
     def next_epoch(self) -> int:
@@ -100,8 +100,12 @@ class _Arena:
         return buf[:size]
 
     def stamp_for(self, max_run: int) -> np.ndarray:
-        """Generation-stamped mex scratch sized so truncation never bites."""
-        return self.scratch("stamp", int(max_run) + 2, np.uint64)
+        """Generation-stamped mex scratch sized so truncation never bites.
+
+        Zeroed on allocation: a stamp equal to a live generation marks a
+        color forbidden, and generations start at 2.
+        """
+        return self.scratch("stamp", int(max_run) + 2, np.uint64, zero=True)
 
 
 #: Idle arenas; grows to the peak number of concurrent hook calls.
@@ -126,27 +130,21 @@ def active() -> bool:
     return _K is not None
 
 
-def tier() -> str | None:
-    """Tier name of the active scope (``'numba'``/``'cc'``/``'numpy'``)."""
-    return _TIER
-
-
 @contextmanager
-def scope(jit: str = "auto"):
+def scope():
     """Activate compiled dispatch for the dynamic extent of a run."""
-    global _K, _TIER, _OPEN_SCOPES
-    tier_name, kernels = runtime.get_kernels(jit)
+    global _K, _OPEN_SCOPES
+    kernels = runtime.get_kernels()[1]
     with _SCOPE_LOCK:
-        if _OPEN_SCOPES == 0:
-            _K, _TIER = kernels, tier_name
+        _K = kernels
         _OPEN_SCOPES += 1
     try:
-        yield tier_name
+        yield
     finally:
         with _SCOPE_LOCK:
             _OPEN_SCOPES -= 1
             if _OPEN_SCOPES == 0:
-                _K, _TIER = None, None
+                _K = None
 
 
 def _c64(a: np.ndarray) -> bool:
@@ -317,7 +315,7 @@ def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
     sort over the bitkey plus an adjacent-run scan selects the same
     indices in the same (key-sorted) order.  ``None`` declines.
     """
-    if _K is None or "first_occ3" not in _K:
+    if _K is None:
         return None
     if not (_c32(warp) and _c64(line)):
         return None
@@ -401,7 +399,7 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
     path.  Returns the emitted count, or ``None`` to decline (caller
     falls back to the unfused path).
     """
-    if _K is None or "emit_coalesced" not in _K:
+    if _K is None:
         return None
     if not (_c32(warp) and _c32(sm) and _c32(wave) and _c64(line)):
         return None
@@ -447,7 +445,7 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     returned on any violation (or unsupported dtypes), falling back to
     the radix sort.
     """
-    if _K is None or "merge_order" not in _K:
+    if _K is None:
         return None
     if not (_c32(wave) and _c32(warp) and _c32(step)):
         return None
@@ -488,7 +486,6 @@ def walk_supported(order, kind, line, sm):
     """
     return (
         _K is not None
-        and "walk_stats" in _K
         and _c64(order)
         and kind.dtype == np.uint8 and kind.flags.c_contiguous
         and _c32(sm)
@@ -582,8 +579,8 @@ def issue_order(key):
 
 def _reset_for_tests() -> None:
     """Drop scratch arenas and deactivate (test isolation)."""
-    global _K, _TIER, _OPEN_SCOPES
+    global _K, _OPEN_SCOPES
     with _SCOPE_LOCK:
-        _K, _TIER, _OPEN_SCOPES = None, None, 0
+        _K, _OPEN_SCOPES = None, 0
     with _ARENA_LOCK:
         _ARENAS.clear()

@@ -1,163 +1,76 @@
-"""Tier resolution for the compiled kernel backend.
+"""Kernel-table resolution for the compiled backend.
 
-Three tiers, best available wins under ``jit='auto'``:
+The table is resolved once per process, from what the machine offers:
 
-1. **numba** — ``@njit(cache=True)`` kernels (:mod:`.nb`); preferred
-   when numba is importable.
-2. **cc** — the same kernels as C compiled with the system compiler and
-   bound via ctypes (:mod:`.cc`); the on-disk ``.so`` cache plays the
-   role of numba's kernel cache.
-3. **numpy** — no compiled kernels at all: dispatch hooks return
-   ``None`` and every call site runs its existing vectorized path.
-   Reaching this tier *implicitly* (``jit='auto'`` with neither numba
-   nor a C compiler usable) emits a one-time :class:`RuntimeWarning`;
-   asking for it explicitly (``jit='numpy'``) is silent.
+* **cc** — the kernels in :mod:`.csrc`, built with the system C compiler
+  and bound via ctypes (:mod:`.cc`); the on-disk ``.so`` cache makes the
+  build a one-time cost per machine.
+* **numpy** — when no compiler builds them there is no table: every
+  dispatch hook returns ``None`` and each call site runs its existing
+  vectorized path.  Reaching this tier emits a one-time
+  :class:`RuntimeWarning`.
 
-Env overrides (mainly for the CI fallback leg):
-
-* ``REPRO_COMPILED_JIT`` — force a tier, same values as ``jit=``.
-* ``REPRO_COMPILED_DISABLE`` — comma list of tiers to treat as
-  unavailable (e.g. ``numba`` to exercise the C path on a machine that
-  has numba, ``numba,cc`` to exercise the pure-NumPy fallback).
+Both are exact, so which one a process resolves changes host wall-clock
+only, never colors or simulated times.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
+import threading
 import warnings
 
 import numpy as np
 
-__all__ = [
-    "resolve_tier",
-    "get_kernels",
-    "current_tier",
-    "warmup",
-    "CompiledTierError",
-]
-
-_TIERS = ("numba", "cc", "numpy")
+__all__ = ["get_kernels", "current_tier", "warmup"]
 
 _resolved: tuple[str, dict | None] | None = None
-_warned_fallback = False
-
-
-class CompiledTierError(RuntimeError):
-    """An explicitly requested compiled tier is unavailable."""
-
-
-def _disabled() -> frozenset:
-    raw = os.environ.get("REPRO_COMPILED_DISABLE", "")
-    return frozenset(p.strip() for p in raw.split(",") if p.strip())
-
-
-def _try_numba() -> dict | None:
-    if "numba" in _disabled():
-        return None
-    try:
-        from . import nb
-    except ImportError:
-        return None
-    return nb.load_kernels()
+_RESOLVE_LOCK = threading.Lock()
 
 
 def _try_cc() -> dict | None:
-    if "cc" in _disabled():
-        return None
-    try:
-        from . import cc
-    except ImportError:  # pragma: no cover - stdlib-only module
-        return None
+    from . import cc
+
     try:
         return _adapt_cc(cc.load_kernels())
     except cc.CCBuildError:
         return None
 
 
-def resolve_tier(jit: str = "auto") -> tuple[str, dict | None]:
-    """Resolve ``jit`` to ``(tier_name, kernel_table_or_None)``.
-
-    ``jit='auto'`` tries numba, then the C tier, then pure NumPy (with
-    the one-time fallback warning).  Naming a tier requires it:
-    ``jit='numba'`` / ``'cc'`` raise :class:`CompiledTierError` when
-    unavailable, ``jit='numpy'`` is the explicit (silent) fallback.
-    """
-    env = os.environ.get("REPRO_COMPILED_JIT")
-    if env:
-        jit = env
-    if jit not in ("auto", *_TIERS):
-        raise ValueError(
-            f"unknown jit tier {jit!r}; pick one of 'auto', 'numba', "
-            f"'cc', 'numpy'"
-        )
-    if jit == "numpy":
-        return "numpy", None
-    if jit == "numba":
-        kernels = _try_numba()
-        if kernels is None:
-            raise CompiledTierError(
-                "jit='numba' requested but numba is not importable "
-                "(or disabled via REPRO_COMPILED_DISABLE)"
-            )
-        return "numba", kernels
-    if jit == "cc":
-        kernels = _try_cc()
-        if kernels is None:
-            raise CompiledTierError(
-                "jit='cc' requested but no working C compiler was found "
-                "(or disabled via REPRO_COMPILED_DISABLE)"
-            )
-        return "cc", kernels
-    # auto
-    kernels = _try_numba()
-    if kernels is not None:
-        return "numba", kernels
-    kernels = _try_cc()
-    if kernels is not None:
-        return "cc", kernels
-    _warn_fallback()
-    return "numpy", None
-
-
-def _warn_fallback() -> None:
-    global _warned_fallback
-    if _warned_fallback:
-        return
-    _warned_fallback = True
-    warnings.warn(
-        "backend='compiled': numba is not importable and no C compiler "
-        "is available; falling back to the pure-NumPy kernels. Results "
-        "are identical, only wall-clock speed differs. Install numba "
-        "(or a C toolchain) to enable the compiled tier.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def get_kernels(jit: str = "auto") -> tuple[str, dict | None]:
-    """Memoized :func:`resolve_tier` for the common ``jit='auto'`` path."""
+def get_kernels() -> tuple[str, dict | None]:
+    """The process's ``(tier_name, kernel_table_or_None)``, resolved once."""
     global _resolved
-    if jit != "auto":
-        return resolve_tier(jit)
-    if _resolved is None:
-        _resolved = resolve_tier("auto")
-    return _resolved
+    with _RESOLVE_LOCK:
+        if _resolved is None:
+            kernels = _try_cc()
+            if kernels is None:
+                warnings.warn(
+                    "backend='compiled': no C compiler is available; "
+                    "falling back to the pure-NumPy kernels. Results are "
+                    "identical, only wall-clock speed differs. Install a "
+                    "C toolchain to enable the compiled tier.",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                _resolved = ("numpy", None)
+            else:
+                _resolved = ("cc", kernels)
+        return _resolved
 
 
 def current_tier() -> str | None:
-    """The memoized auto tier, or ``None`` if not resolved yet."""
+    """The resolved tier name, or ``None`` if not resolved yet."""
     return _resolved[0] if _resolved is not None else None
 
 
-def warmup(jit: str = "auto") -> str:
+def warmup() -> str:
     """Resolve the tier and run every kernel once on tiny inputs.
 
-    Pays numba's lazy JIT compile (or the one-off C build) up front —
-    the parallel scheduler calls this from its worker initializer so
-    pool workers start hot.  Returns the resolved tier name.
+    Pays the one-off C build up front — the parallel scheduler calls
+    this from its worker initializer so pool workers start hot.  Returns
+    the resolved tier name.
     """
-    tier, kernels = get_kernels(jit)
+    tier, kernels = get_kernels()
     if kernels is None:
         return tier
     i64 = np.zeros(4, dtype=np.int64)
@@ -229,10 +142,10 @@ def warmup(jit: str = "auto") -> str:
 
 
 def _reset_for_tests() -> None:
-    """Forget the memoized tier and the one-time warning flag."""
-    global _resolved, _warned_fallback
-    _resolved = None
-    _warned_fallback = False
+    """Forget the resolved tier (the next use resolves and may warn again)."""
+    global _resolved
+    with _RESOLVE_LOCK:
+        _resolved = None
 
 
 # ----------------------------------------------------------------------

@@ -407,21 +407,19 @@ class CpuSimBackend:
 
 
 class CompiledSimBackend(GpuSimBackend):
-    """``gpusim`` with the hot functional loops routed through JIT kernels.
+    """``gpusim`` with the hot functional loops routed through C kernels.
 
     Identical device model, identical pricing, identical results — the
     difference is *host* wall-clock: while a run is active, the kernel
     and pricing modules route their hot loop bodies (mex, the fused wave
     loop, conflict detection, worklist compaction, reuse-distance and
     trace-coalescing scans) through :mod:`repro.compiledsim`, which uses
-    numba ``@njit(cache=True)`` kernels when numba is importable, a
-    ctypes-bound C build otherwise, and falls back to the unchanged
-    NumPy paths (one-time warning) when neither toolchain exists.
+    a ctypes-bound C build when a compiler builds it and otherwise falls
+    back to the unchanged NumPy paths (one-time warning).
 
-    Parameters are :class:`GpuSimBackend`'s plus ``jit=``:
-    ``'auto'`` (default tiering), ``'numba'`` / ``'cc'`` (require that
-    tier, raise :class:`~repro.compiledsim.CompiledTierError` if
-    missing), ``'numpy'`` (explicit silent fallback).
+    Parameters are :class:`GpuSimBackend`'s.  :attr:`tier` names the
+    resolved tier, ``'cc'`` or ``'numpy'``; it is the same for every
+    run in the process.
     """
 
     name = "compiled"
@@ -433,28 +431,25 @@ class CompiledSimBackend(GpuSimBackend):
         config: DeviceConfig | None = None,
         cache_model: str = "reuse_distance",
         seed: int = 0,
-        jit: str = "auto",
     ) -> None:
         super().__init__(
             device, config=config, cache_model=cache_model, seed=seed
         )
         from .. import compiledsim
 
-        self.jit = jit
-        # Resolve (and warn, if falling back) at construction so a
-        # misconfigured explicit tier fails fast, not mid-run.
-        self.tier = compiledsim.get_kernels(jit)[0]
+        # Resolve (and warn, if falling back) at construction, not mid-run.
+        self.tier = compiledsim.get_kernels()[0]
 
     def functional_scope(self):
         """Context manager activating compiled dispatch for one run.
 
         The round loop wraps each run's whole dynamic extent in this, so
-        every kernel and pricing call the run makes sees the compiled
-        engine flag (the ``_MEX_STRATEGY`` scoping idiom).
+        every kernel and pricing call the run makes sees the kernel
+        table.
         """
         from ..compiledsim import dispatch
 
-        return dispatch.scope(self.jit)
+        return dispatch.scope()
 
 
 #: Registry of constructible backends, keyed by their ``name``.

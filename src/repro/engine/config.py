@@ -24,9 +24,9 @@ have carried, downstream behavior — including result-cache keys
 (:mod:`repro.parallel.cache`) — is byte-identical between the two
 spellings.
 
-``mex`` never enters cache keys (strategies are result-identical), and
-``observe``/``faults``/``health`` never do either — a config differing
-only in observation or robustness still hits the same cached results.
+``observe``/``faults``/``health`` never enter cache keys — a config
+differing only in observation or robustness still hits the same cached
+results.
 """
 
 from __future__ import annotations
@@ -54,15 +54,18 @@ class RunConfig:
 
     backend: Any = _field(
         "execution substrate for device schemes: 'gpusim' (default), "
-        "'cpusim', 'compiled', or a backend/device instance"
+        "'cpusim', 'compiled' (C-accelerated gpusim, identical "
+        "results), or a backend/device instance"
     )
     backend_opts: Any = _field(
         "constructor keywords for a string backend= spec, e.g. "
-        "{'jit': 'cc'} or {'cache_model': 'hit_rate'}"
+        "{'seed': 3} or {'cache_model': 'hit_rate'}; rejected alongside "
+        "a backend instance"
     )
     store: Any = _field(
-        "graph arena for worker processes: 'heap', 'shm', "
-        "'mmap'/'mmap:<dir>', or a GraphStore instance"
+        "graph arena for worker processes: 'heap' (pickle, default), "
+        "'shm', 'mmap'/'mmap:<dir>', or a GraphStore instance "
+        "(see docs/STORAGE.md)"
     )
     workers: Any = _field(
         "process-pool size for batched runs (None/0/1 = serial)"
@@ -75,16 +78,14 @@ class RunConfig:
         "content-addressed result cache: 'memory', a directory path, "
         "or a ResultCache"
     )
-    mex: Any = _field(
-        "forbidden-color kernel strategy: 'bitmask', 'bitmask:N', "
-        "or 'sort' (results identical; never enters cache keys)"
-    )
     faults: Any = _field(
-        "fault-injection plan: a FaultPlan, a plan spec string, or a "
-        "Robustness bundle"
+        "fault-injection plan: a FaultPlan, a plan spec string "
+        "('seed=7; site: k=v, ...'), or a Robustness bundle "
+        "(see docs/ROBUSTNESS.md)"
     )
     health: Any = _field(
-        "guard-rail policy: 'strict', 'off', or a HealthPolicy"
+        "guard-rail policy: 'strict', 'off', or a HealthPolicy "
+        "(watchdog, invariants, audit, degradation chains)"
     )
     observe: Any = _field(
         "observation surface: 'trace'/'profile'/'rounds', a Tracer, "

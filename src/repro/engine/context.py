@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 from ..faults import FaultInjected, resolve_robustness
 from ..faults import runtime as fault_runtime
-from ..obs.observe import reject_recorder_keyword, resolve_observe
+from ..obs.observe import resolve_observe
 from ..resilience.deadline import activate_control, resolve_control
 from .backend import resolve_backend
 from .errors import AuditError, ConvergenceError, InvariantViolation
@@ -76,7 +76,6 @@ class ExecutionContext:
         max_iterations: int = MAX_ITERATIONS,
         **backend_opts,
     ) -> None:
-        reject_recorder_keyword("ExecutionContext", backend_opts)
         if config is not None:
             from .config import normalize_config
 
@@ -227,14 +226,9 @@ class ExecutionContext:
         method: str = "data-ldg",
         *,
         validate: bool = True,
-        mex=None,
         **kwargs,
     ):
         """Run a registered engine method by name (cf. ``color_graph``).
-
-        ``mex=`` selects the forbidden-color kernel strategy for this run
-        (``'bitmask'``, ``'bitmask:N'``, or ``'sort'``); results are
-        byte-identical either way, only wall-clock speed differs.
 
         When a robustness bundle with ``degrade=True`` is attached, a run
         rejected by the guard rails (or killed by an injected fault) is
@@ -245,7 +239,6 @@ class ExecutionContext:
         """
         from ..coloring.api import make_recipe
         from ..coloring.base import ColoringError
-        from ..coloring.kernels import mex_strategy
 
         rb = self.robustness
         reruns_left = (
@@ -256,11 +249,7 @@ class ExecutionContext:
                 method, entry_point="ExecutionContext.run", **kwargs
             )
             try:
-                if mex is None:
-                    result = self.run_recipe(graph, recipe)
-                else:
-                    with mex_strategy(mex):
-                        result = self.run_recipe(graph, recipe)
+                result = self.run_recipe(graph, recipe)
                 if validate:
                     result.validate(graph)
                 if rb is not None:
@@ -345,7 +334,6 @@ def color_many(
     round loop, and exhausted process-pool retries degrade to a serial
     healing pass instead of surfacing failures.
     """
-    reject_recorder_keyword("color_many", kwargs)
     if config is not None:
         from .config import normalize_config
 

@@ -18,9 +18,8 @@ Every entry point that executes schemes — ``color_graph``,
 All forms resolve to an :class:`Observation` — the handle the caller
 reads afterwards (it is also attached to ``result.observation`` so
 shorthand users can reach the data they asked for).  The legacy
-``recorder=`` keyword completed its deprecation cycle and was removed:
-entry points raise a :class:`TypeError` naming the replacement (see the
-"Deprecations" section of docs/API.md).
+``recorder=`` keyword is gone: entry points reject it like any other
+unknown option.
 """
 
 from __future__ import annotations
@@ -31,26 +30,10 @@ from ..metrics.recorder import Recorder
 from .export import chrome_trace, flame_summary, write_chrome_trace, write_jsonl
 from .tracer import Tracer
 
-__all__ = ["Observation", "resolve_observe", "reject_recorder_keyword"]
+__all__ = ["Observation", "resolve_observe"]
 
 #: Accepted string shorthands (kept in one place for error messages).
 SHORTHANDS = ("trace", "profile", "rounds")
-
-
-def reject_recorder_keyword(where: str, kwargs: dict) -> None:
-    """Raise the removal error if the retired ``recorder=`` spelling shows up.
-
-    The keyword went through the full deprecation cycle (DeprecationWarning
-    → FutureWarning → removed); entry points with a ``**kwargs`` surface
-    call this so ex-users get the migration target instead of an
-    unknown-option error.
-    """
-    if "recorder" in kwargs:
-        raise TypeError(
-            f"{where}(recorder=...) was removed; pass observe=<Recorder> "
-            f"(or observe='rounds') instead — see docs/API.md, "
-            f"'Deprecations'"
-        )
 
 
 @dataclass

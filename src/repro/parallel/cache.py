@@ -46,8 +46,7 @@ __all__ = [
 
 #: Backends whose *results* are byte-identical to another's by contract
 #: (the golden equivalence suite gates this), mapped to the canonical
-#: name: their runs share cache entries.  ``jit=`` picks a kernel tier,
-#: never an outcome, so it is dropped from the fingerprint too.
+#: name: their runs share cache entries.
 _RESULT_IDENTICAL = {"compiled": "gpusim"}
 
 
@@ -64,7 +63,6 @@ def backend_fingerprint(spec, backend_opts: dict | None = None) -> str:
         opts = dict(backend_opts or {})
         if spec in _RESULT_IDENTICAL:
             spec = _RESULT_IDENTICAL[spec]
-            opts.pop("jit", None)
         return f"{spec}:{json.dumps(opts, sort_keys=True, default=repr)}"
     # Instances: name plus whatever configuration identifies the preset.
     name = getattr(spec, "name", type(spec).__name__)

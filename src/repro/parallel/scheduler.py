@@ -248,7 +248,7 @@ def _worker_init(backend, backend_opts: dict) -> None:
         attached=_GraphLRU(_ATTACHED_GRAPH_CACHE),
     )
     if getattr(backend, "name", backend) == "compiled":
-        # Pay the one-time JIT load/compile during pool spin-up instead
+        # Pay the one-time kernel build/load during pool spin-up instead
         # of inside the first job; the disk-cached build makes this a
         # few ms for every worker after the first ever.
         try:

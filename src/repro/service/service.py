@@ -23,8 +23,8 @@ front end for concurrent callers:
 
 Everything threads through the existing seams: a single
 :class:`~repro.engine.config.RunConfig` carries ``backend`` /
-``workers`` / ``scheduler`` / ``cache`` / ``store`` / ``mex`` /
-``faults`` / ``health`` / ``observe``.  A string ``store=`` spec is
+``workers`` / ``scheduler`` / ``cache`` / ``store`` / ``faults`` /
+``health`` / ``observe``.  A string ``store=`` spec is
 resolved once at :meth:`start` into a service-owned arena kept warm
 across batches (workers attach zero-copy handles); :meth:`close`
 releases it — no leaked ``/dev/shm`` segments.  ``observe=`` attaches a
@@ -512,30 +512,22 @@ class ColoringService:
 
     def _execute(self, jobs, validate: bool, control: RunControl | None = None):
         """The engine batch (worker thread; the only engine entry point)."""
-        from ..coloring.kernels import mex_strategy
         from ..engine.context import color_many
 
         cfg = self.config
-
-        def run():
-            return color_many(
-                jobs,
-                self.method,
-                backend=cfg.backend,
-                backend_opts=cfg.backend_opts,
-                workers=cfg.workers,
-                scheduler=cfg.scheduler,
-                cache=self._cache,
-                store=self._store,
-                faults=self._robustness,
-                validate=validate,
-                deadline_ms=control,
-            )
-
-        if cfg.mex is not None:
-            with mex_strategy(cfg.mex):
-                return run()
-        return run()
+        return color_many(
+            jobs,
+            self.method,
+            backend=cfg.backend,
+            backend_opts=cfg.backend_opts,
+            workers=cfg.workers,
+            scheduler=cfg.scheduler,
+            cache=self._cache,
+            store=self._store,
+            faults=self._robustness,
+            validate=validate,
+            deadline_ms=control,
+        )
 
     # -- sessions --------------------------------------------------------
     async def session(

@@ -1,7 +1,6 @@
 """Extensions: distance-2 coloring, dynamic recoloring, warp load balancing,
 Jacobian compression."""
 
-import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import color_graph
+from repro.coloring.base import ColoringError, ColoringResult
 from repro.coloring.distance2 import (
     color_distance2_gpu,
     count_d2_conflicts,
@@ -156,12 +156,9 @@ def test_dynamic_to_graph_roundtrip(small_er):
 
 
 def test_dynamic_rejects_improper_seed(c6):
-    # Bare-array seeding is deprecated (tests/test_dynamic_sessions.py
-    # covers the shim warning); here only the properness check matters.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(Exception):
-            DynamicColoring(c6, colors=np.ones(6, dtype=np.int32))
+    improper = ColoringResult(colors=np.ones(6, dtype=np.int32), scheme="x")
+    with pytest.raises(ColoringError):
+        DynamicColoring(c6, improper)
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,15 +2,18 @@
 
 The compiled backend's contract is *wall-clock only*: colors, iteration
 counts, and every simulated timing figure must be byte-identical to the
-``gpusim`` reference no matter which JIT tier (numba / C / NumPy
-fallback) ends up executing the loop bodies.  These tests hold it to
+``gpusim`` reference whether the C kernels or the NumPy fallback end up
+executing the loop bodies.  These tests hold it to
 that, and cover the unified ``config=`` surface the backend ships with.
 """
 
 import dataclasses
 import os
+import shutil
 import sys
+import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from repro import (
     from_edges,
     rmat_er,
 )
-from repro.compiledsim import CompiledTierError, runtime
+from repro.compiledsim import runtime
 from repro.engine.backend import BACKENDS, CompiledSimBackend, resolve_backend
 from repro.engine.config import normalize_config
 from repro.parallel import color_streamed
@@ -91,7 +94,7 @@ def test_compiled_backend_instance_and_registry(medium):
     backend = resolve_backend("compiled")
     assert isinstance(backend, CompiledSimBackend)
     assert backend.name == "compiled"
-    assert backend.tier in ("numba", "cc", "numpy")
+    assert backend.tier in ("cc", "numpy")
     res = color_graph(medium, "data-ldg", backend=backend)
     _assert_identical(color_graph(medium, "data-ldg"), res)
 
@@ -126,15 +129,15 @@ def test_compiled_color_many_parallel_matches(small):
 # ----------------------------------------------------------------------
 
 @pytest.fixture
-def reset_tiers(monkeypatch):
-    """Run a test against a clean tier memo, restoring it afterwards."""
+def no_compiler(monkeypatch):
+    """Resolve the tier as on a machine where the C build fails."""
     runtime._reset_for_tests()
-    yield monkeypatch
+    monkeypatch.setattr(runtime, "_try_cc", lambda: None)
+    yield
     runtime._reset_for_tests()
 
 
-def test_fallback_warns_once_with_identical_results(medium, reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
+def test_fallback_warns_once_with_identical_results(medium, no_compiler):
     ref = color_graph(medium, "data-ldg")
     with pytest.warns(RuntimeWarning, match="falling back to the pure-NumPy"):
         res = color_graph(medium, "data-ldg", backend="compiled")
@@ -146,40 +149,83 @@ def test_fallback_warns_once_with_identical_results(medium, reset_tiers):
     _assert_identical(ref, res2)
 
 
-def test_disabled_tiers_resolve_to_numpy(reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
+def test_disabled_tiers_resolve_to_numpy(no_compiler):
     with pytest.warns(RuntimeWarning):
         tier = compiledsim.warmup()
     assert tier == "numpy"
     assert runtime.current_tier() == "numpy"
+    assert CompiledSimBackend().tier == "numpy"
 
 
-def test_explicit_tier_unavailable_raises(reset_tiers):
-    reset_tiers.setenv("REPRO_COMPILED_DISABLE", "numba,cc")
-    with pytest.raises(CompiledTierError, match="jit='cc'"):
+def test_unknown_jit_tier_rejected(small):
+    # No option picks the tier: jit= is an unknown keyword everywhere.
+    with pytest.raises(TypeError, match="jit"):
         CompiledSimBackend(jit="cc")
-
-
-def test_explicit_numpy_tier_is_silent(medium, reset_tiers):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        backend = CompiledSimBackend(jit="numpy")
-    assert backend.tier == "numpy"
-    _assert_identical(
-        color_graph(medium, "data-ldg"),
-        color_graph(medium, "data-ldg", backend=backend),
-    )
-
-
-def test_unknown_jit_tier_rejected():
-    with pytest.raises(ValueError, match="unknown jit tier"):
-        CompiledSimBackend(jit="fastest")
+    with pytest.raises(TypeError, match="jit"):
+        color_graph(small, "data-ldg", backend="compiled",
+                    backend_opts={"jit": "cc"})
 
 
 def test_warmup_resolves_and_reports_a_real_tier():
     tier = compiledsim.warmup()
-    assert tier in ("numba", "cc", "numpy")
+    assert tier in ("cc", "numpy")
     assert runtime.current_tier() == tier
+
+
+@pytest.mark.skipif(
+    not any(shutil.which(c) for c in ("cc", "gcc", "clang")),
+    reason="no C compiler on PATH",
+)
+def test_c_compiler_on_path_engages_cc_tier():
+    assert compiledsim.warmup() == "cc"
+
+
+@pytest.mark.filterwarnings("ignore:backend='compiled'")
+def test_concurrent_runs_see_one_tier(small, monkeypatch):
+    # Threads racing to resolve the tier build the kernel table once and
+    # all run on it, so every backend reports the same tier.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.compiledsim import dispatch
+
+    runtime._reset_for_tests()
+    builds = []
+    real_try_cc = runtime._try_cc
+
+    def slow_try_cc():
+        builds.append(1)
+        time.sleep(0.05)  # widen the race window
+        return real_try_cc()
+
+    monkeypatch.setattr(runtime, "_try_cc", slow_try_cc)
+    seen = []
+    real_scope = dispatch.scope
+
+    @contextmanager
+    def spying_scope():
+        with real_scope():
+            seen.append(dispatch._K)
+            yield
+
+    monkeypatch.setattr(dispatch, "scope", spying_scope)
+
+    def run():
+        backend = CompiledSimBackend()
+        color_graph(small, "data-ldg", backend=backend)
+        return backend.tier
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            tiers = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert set(tiers) == {runtime.current_tier()}
+    kernels = runtime.get_kernels()[1]
+    assert len(seen) == 4 and all(k is kernels for k in seen)
 
 
 def test_dispatch_declines_outside_scope():
@@ -191,6 +237,34 @@ def test_dispatch_declines_outside_scope():
     cols = np.ones(4, dtype=np.int32)
     assert not dispatch.active()
     assert dispatch.mex_sorted(seg, cols, 1) is None
+
+
+def test_fresh_mex_stamp_cannot_fake_forbidden_colors(monkeypatch):
+    # The mex stamp array is never cleared: a color counts as forbidden
+    # when its stamp equals the segment's generation.  Memory recycled
+    # from earlier arrays can hold such values, so a fresh arena's stamp
+    # must start below every live generation.
+    from repro.coloring.kernels import _mex_sort
+    from repro.compiledsim import dispatch
+
+    if runtime.get_kernels()[1] is None:
+        pytest.skip("no C tier on this host")
+    real_empty = np.empty
+
+    def recycled_empty(shape, dtype=float, **kwargs):
+        arr = real_empty(shape, dtype=dtype, **kwargs)
+        arr.fill(2)  # the first generation a fresh arena stamps
+        return arr
+
+    seg = np.array([0, 0, 1], dtype=np.int64)
+    cols = np.array([1, 3, 2], dtype=np.int32)
+    dispatch._reset_for_tests()  # no idle arena: the call allocates one
+    monkeypatch.setattr(np, "empty", recycled_empty)
+    with dispatch.scope():
+        got = dispatch.mex_sorted(seg, cols, 2)
+    monkeypatch.undo()
+    dispatch._reset_for_tests()
+    assert np.array_equal(got, _mex_sort(seg, cols, 2))
 
 
 def test_concurrent_compiled_runs_match_gpusim(medium, monkeypatch):
@@ -310,10 +384,7 @@ def test_normalize_config_passthrough_without_config():
 
 def test_compiled_shares_cache_fingerprint_with_gpusim():
     assert backend_fingerprint("compiled") == backend_fingerprint("gpusim")
-    # The jit tier is wall-clock-only, so it can't fork keys either.
-    assert backend_fingerprint("compiled", {"jit": "numpy"}) == \
-        backend_fingerprint("gpusim")
-    assert backend_fingerprint(CompiledSimBackend(jit="numpy")) == \
+    assert backend_fingerprint(CompiledSimBackend()) == \
         backend_fingerprint(resolve_backend("gpusim"))
     assert backend_fingerprint("cpusim") != backend_fingerprint("gpusim")
 
@@ -372,7 +443,7 @@ def test_unknown_method_errors_name_their_entry_point(small, call, prefix):
 def test_backend_opts_thread_through_color_graph(medium):
     res = color_graph(
         medium, "data-ldg", backend="compiled",
-        backend_opts={"jit": "numpy"},
+        backend_opts={"cache_model": "reuse_distance"},
     )
     _assert_identical(color_graph(medium, "data-ldg"), res)
     with pytest.raises(TypeError, match="backend_opts"):

@@ -43,10 +43,18 @@ def _chains(result):
 # ---------------------------------------------------------------------------
 # mex: bitmask → sort on word-budget overflow.
 # ---------------------------------------------------------------------------
-def test_mex_overflow_degrades_to_sort_byte_identically():
-    g = complete_graph(70)  # 70 colors ≫ one 32-color bitmask word
+def _one_mex_word(monkeypatch):
+    """Shrink the bitmask word budget so a 70-color palette overflows it."""
+    from repro.coloring import kernels
+
+    monkeypatch.setattr(kernels, "DEFAULT_MEX_WORDS", 1)
+
+
+def test_mex_overflow_degrades_to_sort_byte_identically(monkeypatch):
+    g = complete_graph(70)  # 70 colors > one 64-color bitmask word
     healthy = color_graph(g, "data-ldg")
-    degraded = color_graph(g, "data-ldg", mex="bitmask:1", health="default")
+    _one_mex_word(monkeypatch)
+    degraded = color_graph(g, "data-ldg", health="default")
     assert np.array_equal(healthy.colors, degraded.colors)
     assert degraded.num_colors == 70
     events = degraded.robustness["degradations"]
@@ -55,9 +63,10 @@ def test_mex_overflow_degrades_to_sort_byte_identically():
     assert mex[0]["reason"] == "word-budget-overflow"
 
 
-def test_mex_overflow_unobserved_without_a_bundle():
+def test_mex_overflow_unobserved_without_a_bundle(monkeypatch):
     g = complete_graph(70)
-    result = color_graph(g, "data-ldg", mex="bitmask:1")  # no faults/health
+    _one_mex_word(monkeypatch)
+    result = color_graph(g, "data-ldg")  # no faults/health
     assert result.robustness is None  # silent, zero-overhead routing
     assert result.num_colors == 70
 

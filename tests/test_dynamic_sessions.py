@@ -11,7 +11,6 @@ from repro import color_graph, rmat_er
 from repro.coloring.base import ColoringResult
 from repro.coloring.dynamic import DynamicColoring, normalize_edits
 from repro.coloring.sequential import greedy_colors_only
-from repro.deprecation import _reset_for_tests
 from repro.graph.builder import complete_graph, cycle_graph
 from repro.service import ColoringService
 
@@ -51,17 +50,14 @@ def test_apply_returns_result_and_bumps_version(small_er):
     assert dyn.num_vertices == small_er.num_vertices + 2
 
 
-def test_bare_array_constructor_shape_is_deprecated(small_er):
+def test_bare_array_seeding_raises(small_er):
     fresh = greedy_colors_only(small_er)
-    _reset_for_tests("dynamic-colors-array")
-    with pytest.warns(DeprecationWarning, match="typed surface"):
-        dyn = DynamicColoring(small_er, fresh)
-    dyn.validate()
-    _reset_for_tests("dynamic-colors-array")
-    with pytest.warns(DeprecationWarning, match="typed surface"):
+    with pytest.raises(TypeError, match="ColoringResult"):
+        DynamicColoring(small_er, fresh)
+    with pytest.raises(TypeError):
         DynamicColoring(small_er, colors=fresh.copy())
-    _reset_for_tests("dynamic-colors-array")
-    with pytest.warns(DeprecationWarning, match="typed surface"):
+    dyn = DynamicColoring(small_er)
+    with pytest.raises(TypeError, match="ColoringResult"):
         dyn.adopt(fresh.copy())
 
 

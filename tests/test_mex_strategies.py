@@ -1,9 +1,9 @@
 """Property tests: bitmask mex ≡ sort mex ≡ naive reference, all regimes.
 
-The bitmask kernel is the default hot path; the sort kernel is the
-historical formulation kept as its wide-palette fallback.  Both must be
-byte-identical to each other and to a per-segment Python reference across
-empty segments, zero (uncolored) entries, palettes past one and two words
+The bitmask kernel is the hot path; the sort kernel is its fallback for
+wide palettes and unsorted segment streams.  Both must be byte-identical
+to each other and to a per-segment Python reference across empty
+segments, zero (uncolored) entries, palettes past one and two words
 (>64 and >128 colors), every fallback crossover, and the unsorted-segment
 stream distance-2 feeds them.
 """
@@ -15,13 +15,9 @@ from hypothesis import strategies as st
 
 from repro.coloring.base import COLOR_DTYPE
 from repro.coloring.kernels import (
-    DEFAULT_MEX_WORDS,
     _mex_bitmask,
     _mex_sort,
-    _parse_mex_strategy,
-    mex_strategy,
     min_excluded_colors,
-    set_mex_strategy,
 )
 
 
@@ -37,14 +33,21 @@ def _mex_reference(seg_ids, colors, n):
     return out
 
 
-STRATEGIES = ("sort", "bitmask", "bitmask:1", "bitmask:2", "bitmask:64")
+#: The kernels under test: the sort formulation, the bitmask one at
+#: several word budgets, and the dispatching entry point.
+STRATEGIES = {
+    "sort": _mex_sort,
+    "bitmask:1": lambda s, c, n: _mex_bitmask(s, c, n, max_words=1),
+    "bitmask:2": lambda s, c, n: _mex_bitmask(s, c, n, max_words=2),
+    "bitmask:64": lambda s, c, n: _mex_bitmask(s, c, n, max_words=64),
+    "min_excluded_colors": min_excluded_colors,
+}
 
 
 def _assert_all_strategies_match(seg, cols, n):
     want = _mex_reference(seg, cols, n)
-    for spec in STRATEGIES:
-        with mex_strategy(spec):
-            got = min_excluded_colors(seg, cols, n)
+    for spec, mex in STRATEGIES.items():
+        got = mex(seg, cols, n)
         assert got.dtype == COLOR_DTYPE, spec
         assert np.array_equal(got, want), f"{spec}: {got} != {want}"
 
@@ -102,10 +105,9 @@ def test_dense_prefix_crosses_word_boundaries(prefix_len, words):
 # ---------------------------------------------------------------- edges
 def test_empty_stream_all_strategies():
     empty = np.empty(0, dtype=np.int64)
-    for spec in STRATEGIES:
-        with mex_strategy(spec):
-            assert list(min_excluded_colors(empty, empty, 3)) == [1, 1, 1]
-            assert min_excluded_colors(empty, empty, 0).size == 0
+    for mex in STRATEGIES.values():
+        assert list(mex(empty, empty, 3)) == [1, 1, 1]
+    assert min_excluded_colors(empty, empty, 0).size == 0
 
 
 def test_all_zero_colors():
@@ -131,43 +133,16 @@ def test_fallback_crossover_exact_boundary():
             assert np.array_equal(_mex_bitmask(seg, cols, 1, words), want)
 
 
-# ------------------------------------------------------------- strategy API
-def test_parse_strategy_spellings():
-    assert _parse_mex_strategy("sort") == ("sort", 0)
-    assert _parse_mex_strategy("bitmask") == ("bitmask", DEFAULT_MEX_WORDS)
-    assert _parse_mex_strategy("bitmask:3") == ("bitmask", 3)
-    assert _parse_mex_strategy(("bitmask", 5)) == ("bitmask", 5)
-
-
-def test_parse_strategy_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown mex strategy"):
-        _parse_mex_strategy("radix")
-    with pytest.raises(ValueError, match=">= 1"):
-        _parse_mex_strategy("bitmask:0")
-
-
-def test_context_manager_restores_previous():
-    before = set_mex_strategy("bitmask")  # normalize, remember default
-    try:
-        with mex_strategy("sort"):
-            with mex_strategy("bitmask:2"):
-                pass
-            # Inner exit restored the outer override, not the default.
-            seg = np.array([0], dtype=np.int64)
-            assert min_excluded_colors(seg, np.array([1]), 1)[0] == 2
-        assert set_mex_strategy("bitmask") == ("bitmask", DEFAULT_MEX_WORDS)
-    finally:
-        set_mex_strategy(before)
-
-
-def test_color_graph_mex_option_byte_identical():
+# ---------------------------------------------------------- removed option
+def test_color_graph_mex_option_rejected():
+    from repro import ExecutionContext, RunConfig
     from repro.coloring.api import color_graph
     from repro.graph.generators import erdos_renyi
 
-    g = erdos_renyi(300, 0.05, seed=7)
-    base = color_graph(g, "data-ldg")
-    for spec in ("sort", "bitmask:1"):
-        alt = color_graph(g, "data-ldg", mex=spec)
-        assert np.array_equal(alt.colors, base.colors)
-        assert alt.iterations == base.iterations
-        assert alt.gpu_time_us == base.gpu_time_us
+    g = erdos_renyi(60, 0.1, seed=7)
+    with pytest.raises(TypeError, match="mex"):
+        color_graph(g, "data-ldg", mex="sort")
+    with pytest.raises(TypeError, match="mex"):
+        ExecutionContext().run(g, "data-ldg", mex="sort")
+    with pytest.raises(TypeError, match="mex"):
+        RunConfig(mex="sort")

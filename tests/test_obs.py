@@ -240,16 +240,15 @@ def test_observation_without_tracer_refuses_trace_views():
 
 # ------------------------------------------------- retired recorder= keyword
 def test_recorder_keyword_removed(small_er):
-    """The PR 2 shim completed its cycle: recorder= now raises with the
-    migration target instead of warning."""
+    """recorder= is gone: every entry point rejects it as an unknown option."""
     rec = Recorder()
-    with pytest.raises(TypeError, match="observe="):
+    with pytest.raises(TypeError):
         ExecutionContext(recorder=rec)
-    with pytest.raises(TypeError, match="removed"):
+    with pytest.raises(TypeError):
         color_graph(small_er, "data-base", recorder=rec)
     from repro.engine import color_many
 
-    with pytest.raises(TypeError, match="observe="):
+    with pytest.raises(TypeError):
         color_many([small_er], "data-base", recorder=rec)
     # The supported spelling still routes rounds into the recorder.
     result = color_graph(small_er, "data-base", observe=rec)

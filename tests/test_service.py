@@ -209,7 +209,6 @@ def test_run_config_threads_through(g, tmp_path):
     async def main():
         cfg = RunConfig(
             backend="cpusim", store="shm", cache=str(tmp_path / "rc"),
-            mex="sort",
         )
         async with ColoringService("data-base", config=cfg) as svc:
             result = await svc.submit(g)
