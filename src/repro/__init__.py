@@ -24,7 +24,7 @@ from .distributed import Topology, color_distributed
 from .engine import ExecutionContext, RunConfig, color_many
 from .graph import CSRGraph, from_edges
 from .graph.generators import load_graph, load_suite, rmat_er, rmat_g, rmat_graph
-from .obs import Observation, Tracer
+from .obs import Tracer
 from .parallel import ColorJob, JobFailure, ResultCache, color_sharded
 
 __version__ = "1.0.0"
@@ -36,7 +36,6 @@ __all__ = [
     "EVALUATED_SCHEMES",
     "ExecutionContext",
     "JobFailure",
-    "Observation",
     "ResultCache",
     "RunConfig",
     "SCHEMES",

@@ -24,6 +24,7 @@ from .graph.csr import CSRGraph
 from .graph.generators.suite import SUITE, load_graph
 from .graph.stats import compute_stats
 from .metrics.table import format_table
+from .obs import flame_summary, round_rows, write_chrome_trace, write_jsonl
 
 __all__ = ["main", "resolve_graph"]
 
@@ -256,21 +257,21 @@ def _cmd_color(args) -> int:
             json.dumps(report or {}, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote robustness report -> {path}")
-    obs = result.observation
-    if obs is not None and obs.tracer is not None:
+    tracer = result.observation
+    if tracer is not None:
         print()
-        print(obs.flame_summary())
-        if args.trace_out:
-            path = obs.write_chrome_trace(args.trace_out)
-            print(f"\nwrote Chrome trace -> {path} (open in chrome://tracing)")
-    if obs is not None and obs.recorder is not None and obs.recorder.rounds:
+        print(flame_summary(tracer))
         rows = [
-            [r.iteration, r.active, r.conflicts, round(r.time_us, 1)]
-            for r in obs.recorder.rounds
+            [r["iteration"], r["active"], r["conflicts"], round(r["time_us"], 1)]
+            for r in round_rows(tracer)
         ]
-        print()
-        print(format_table(["round", "active", "conflicts", "us"], rows,
-                           title="per-round trace:"))
+        if rows:
+            print()
+            print(format_table(["round", "active", "conflicts", "us"], rows,
+                               title="per-round trace:"))
+        if args.trace_out:
+            path = write_chrome_trace(tracer, args.trace_out)
+            print(f"\nwrote Chrome trace -> {path} (open in chrome://tracing)")
     return 0
 
 
@@ -280,14 +281,14 @@ def _cmd_trace(args) -> int:
     if args.backend != "gpusim":
         kwargs["backend"] = args.backend
     result = color_graph(graph, method=args.method, observe="trace", **kwargs)
-    obs = result.observation
+    tracer = result.observation
     print(result.summary() + "\n")
-    print(obs.flame_summary(top=args.top))
+    print(flame_summary(tracer, top=args.top))
     out = args.out or f"{graph.name}-{args.method}-trace.json"
-    path = obs.write_chrome_trace(out)
+    path = write_chrome_trace(tracer, out)
     print(f"\nwrote Chrome trace -> {path} (open in chrome://tracing or Perfetto)")
     if args.jsonl:
-        path = obs.write_jsonl(args.jsonl)
+        path = write_jsonl(tracer, args.jsonl)
         print(f"wrote JSONL event log -> {path}")
     return 0
 
@@ -433,9 +434,9 @@ def _cmd_batch(args) -> int:
             file=sys.stderr,
         )
     if args.trace_out:
-        obs = next((r.observation for r in results if r), None)
-        if obs is not None and obs.tracer is not None:
-            path = obs.write_chrome_trace(args.trace_out)
+        tracer = next((r.observation for r in results if r), None)
+        if tracer is not None:
+            path = write_chrome_trace(tracer, args.trace_out)
             print(f"wrote Chrome trace -> {path} (open in chrome://tracing)")
     return 1 if failures else 0
 
@@ -665,10 +666,8 @@ def _cmd_serve(args) -> int:
     for label, value in rows:
         print(f"{label:<{width}}  {value}")
 
-    if args.trace_out and service.observation.tracer is not None:
-        from .obs import write_chrome_trace
-
-        write_chrome_trace(service.observation.tracer, args.trace_out)
+    if args.trace_out and service.observation is not None:
+        write_chrome_trace(service.observation, args.trace_out)
         print(f"trace written to {args.trace_out}")
 
     if args.check:
@@ -765,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution substrate for device schemes (default: gpusim)",
     )
     p.add_argument(
-        "--observe", default=None, choices=("trace", "profile", "rounds"),
-        help="attach observation: span trace, kernel profiles, or per-round records",
+        "--observe", default=None, choices=("trace",),
+        help="attach a span trace; prints its flame summary and per-round table",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -897,8 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'nvlink', or 'ring'",
     )
     p.add_argument(
-        "--observe", default=None, choices=("trace", "profile", "rounds"),
-        help="attach observation to the whole batch",
+        "--observe", default=None, choices=("trace",),
+        help="attach one span trace to the whole batch",
     )
     p.add_argument(
         "--trace-out", default=None, metavar="PATH",

@@ -170,11 +170,9 @@ def color_graph(
         is an error).
     observe:
         The unified observation surface (:mod:`repro.obs`): ``None``
-        (default, zero overhead), ``"trace"`` / ``"profile"`` /
-        ``"rounds"``, a :class:`~repro.obs.tracer.Tracer`, a
-        :class:`~repro.metrics.recorder.Recorder`, or an
-        :class:`~repro.obs.observe.Observation`.  The resolved bundle is
-        attached to ``result.observation``.
+        (default, zero overhead), ``"trace"`` or a
+        :class:`~repro.obs.tracer.Tracer`.  The run's tracer is attached
+        to ``result.observation``.
     cache:
         A content-addressed result cache (see :mod:`repro.parallel.cache`):
         ``None`` (default, no caching), ``"memory"``, a directory path, or
@@ -270,7 +268,7 @@ def color_graph(
             f"method {method!r} runs on the host and takes no backend; "
             f"backends apply to {sorted(ENGINE_RECIPES)}"
         )
-    observation = resolve_observe(observe)
+    tracer = resolve_observe(observe)
 
     cache_obj = cache_key = None
     if cache is not None:
@@ -281,17 +279,15 @@ def color_graph(
         cache_key = job_cache_key(graph, method, kwargs, spec, backend_opts)
         hit = cache_obj.get(cache_key)
         # (`or` would drop an empty tracer: Tracer defines __len__.)
-        tracer = observation.tracer
-        if tracer is None and context is not None:
-            tracer = context.tracer
-        if tracer is not None:
-            tracer.event(
+        cache_tracer = tracer if context is None else context.tracer
+        if cache_tracer is not None:
+            cache_tracer.event(
                 f"result-cache:{method}:{getattr(graph, 'name', '?')}",
                 "cache", hit=int(hit is not None), miss=int(hit is None),
             )
         if hit is not None:
-            if observation.active:
-                hit.extra.setdefault("observation", observation)
+            if tracer is not None:
+                hit.extra.setdefault("observation", tracer)
             if validate:
                 hit.validate(graph)
             return hit
@@ -299,7 +295,7 @@ def color_graph(
     if context is not None:
         result = context.run(graph, method, validate=validate, **kwargs)
     elif (
-        observation.active or robustness is not None
+        tracer is not None or robustness is not None
         or control is not None
     ) and method in ENGINE_RECIPES:
         # Observed, fault-guarded or deadline-bound device runs route
@@ -311,7 +307,7 @@ def color_graph(
 
         spec = backend if backend is not None else kwargs.pop("device", None)
         ctx = ExecutionContext(
-            backend=spec, observe=observation, faults=robustness,
+            backend=spec, observe=tracer, faults=robustness,
             deadline_ms=control, **dict(backend_opts or {}),
         )
         result = ctx.run(graph, method, validate=validate, **kwargs)
@@ -339,10 +335,9 @@ def color_graph(
                 result = METHODS[method](graph, **kwargs)
         else:
             result = METHODS[method](graph, **kwargs)
-        if observation.tracer is not None:
-            _trace_host_run(observation.tracer, graph, result)
-        if observation.active:
-            result.extra.setdefault("observation", observation)
+        if tracer is not None:
+            _trace_host_run(tracer, graph, result)
+            result.extra.setdefault("observation", tracer)
         if validate:
             result.validate(graph)
         if robustness is not None:

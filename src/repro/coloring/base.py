@@ -146,8 +146,8 @@ class ColoringResult:
     # -- the typed surface over the legacy ``extra`` bag ----------------
     @property
     def observation(self):
-        """The :class:`~repro.obs.observe.Observation` attached to this
-        run (``observe=`` was passed), or ``None``."""
+        """The :class:`~repro.obs.tracer.Tracer` this run recorded into
+        (``observe=`` was passed), or ``None``."""
         return self.extra.peek("observation")
 
     @property
@@ -188,7 +188,7 @@ class ColoringResult:
         ``gpu_time_us`` / ``cpu_time_us`` / ``transfer_time_us`` /
         ``total_time_us``    simulated time components and their sum
         ``num_kernel_launches``  kernel launches issued
-        ``observation``      attached ``Observation`` or ``None``
+        ``observation``      attached ``Tracer`` or ``None``
         ``cache_hit``        served from a result cache (bool)
         ``shard_stats``      sharded-run statistics dict or ``None``
         ``robustness``       fault/degradation/resilience report or ``None``

@@ -269,7 +269,7 @@ class _Devices(BlockSource):
         result = color_sharded(
             run.graph, run.method, num_shards=self.num_pieces, scheduler="serial",
             backend=self.engine["backend"], backend_opts=self.engine["backend_opts"],
-            observe=run.forward_observe, validate=run.validate,
+            observe=run.tracer, validate=run.validate,
             max_resolution_rounds=run.max_resolution_rounds, faults=run.robustness.healer(),
             **run.options,
         )

@@ -41,7 +41,7 @@ import traceback as _traceback
 import numpy as np
 
 from ..parallel.jobs import JobFailure
-from ..parallel.scheduler import publish_jobs
+from ..parallel.scheduler import _run_one, publish_jobs
 
 __all__ = [
     "Transport",
@@ -82,18 +82,12 @@ class LocalTransport(Transport):
     name = "local"
 
     def __init__(self) -> None:
-        self._contexts: dict[int, object] = {}
+        self._contexts: dict[int, dict] = {}  # device -> its _run_one ctx_map
 
     def run_shards(self, jobs, *, backend=None, backend_opts=None,
                    validate=True, want_trace=False, robustness=None,
                    store=None, control=None) -> list:
-        from ..coloring.api import ENGINE_RECIPES, color_graph
-        from ..engine.context import ExecutionContext
         from ..faults import FaultInjected
-        from ..faults import runtime as fault_runtime
-        from ..obs.observe import Observation
-        from ..obs.tracer import Tracer
-        from ..resilience.deadline import activate_control
 
         jobs, store_obj, own_store = publish_jobs(list(jobs), store)
         outcomes: list = []
@@ -101,7 +95,6 @@ class LocalTransport(Transport):
             for device, job in enumerate(jobs):
                 if control is not None:
                     control.check("shard")
-                tracer = Tracer() if want_trace else None
                 try:
                     if robustness is not None:
                         spec = robustness.fire("job-error", job=device, attempt=1)
@@ -110,51 +103,13 @@ class LocalTransport(Transport):
                                 f"injected transient job error "
                                 f"(device={device}, attempt=1)"
                             )
-                    if job.method in ENGINE_RECIPES:
-                        if tracer is not None:
-                            # Observed runs get a device-local tracer the
-                            # caller grafts into the merged timeline.
-                            ctx = ExecutionContext(
-                                backend=backend,
-                                observe=Observation(tracer=tracer),
-                                **dict(backend_opts or {}),
-                            )
-                        else:
-                            ctx = self._contexts.get(device)
-                            if ctx is None:
-                                ctx = self._contexts[device] = ExecutionContext(
-                                    backend=backend, **dict(backend_opts or {})
-                                )
-                        from contextlib import nullcontext
-
-                        rscope = (
-                            ctx.robustness_scope(robustness)
-                            if robustness is not None else nullcontext()
-                        )
-                        cscope = (
-                            ctx.control_scope(control)
-                            if control is not None else nullcontext()
-                        )
-                        with rscope, cscope:
-                            result = ctx.run(
-                                job.graph, job.method,
-                                validate=validate, **job.options,
-                            )
-                    else:
-                        observe = (
-                            Observation(tracer=tracer)
-                            if tracer is not None else None
-                        )
-                        with fault_runtime.activate(robustness), \
-                                activate_control(control):
-                            result = color_graph(
-                                job.graph, job.method, validate=validate,
-                                observe=observe, **job.options,
-                            )
-                    result.extra.pop("observation", None)
-                    outcomes.append(
-                        (result, tracer.roots if tracer is not None else None)
-                    )
+                    # Untraced runs reuse the device's context; traced runs
+                    # get a device-local tracer the caller grafts in.
+                    outcomes.append(_run_one(
+                        self._contexts.setdefault(device, {}), job, backend,
+                        backend_opts or {}, validate, want_trace,
+                        robustness=robustness, control=control,
+                    ))
                 except Exception as exc:
                     from ..resilience.deadline import (
                         Cancelled,
@@ -218,20 +173,16 @@ class PoolTransport(Transport):
         try:
             execute_kwargs = dict(
                 backend=backend, backend_opts=backend_opts,
-                validate=validate, want_trace=want_trace, want_rounds=False,
+                validate=validate, want_trace=want_trace,
             )
             if robustness is not None:
                 execute_kwargs["robustness"] = robustness
             if control is not None:
                 execute_kwargs["control"] = control
-            raw = sched.execute(jobs, **execute_kwargs)
+            return sched.execute(jobs, **execute_kwargs)
         finally:
             if own_store and store_obj is not None:
                 store_obj.close()
-        return [
-            out if isinstance(out, JobFailure) else (out[0], out[1])
-            for out in raw
-        ]
 
     def close(self) -> None:
         # Idempotent by design: the scheduler owns no long-lived pool

@@ -87,10 +87,7 @@ class RunConfig:
         "guard-rail policy: 'strict', 'off', or a HealthPolicy "
         "(watchdog, invariants, audit, degradation chains)"
     )
-    observe: Any = _field(
-        "observation surface: 'trace'/'profile'/'rounds', a Tracer, "
-        "a Recorder, or an Observation"
-    )
+    observe: Any = _field("observation surface: 'trace' or a Tracer")
     devices: Any = _field(
         "simulated device count for color_distributed (one contiguous "
         "shard per device; colors identical across counts)"

@@ -45,12 +45,9 @@ class ExecutionContext:
         K20c.
     observe:
         The unified observation surface (see :mod:`repro.obs`): ``None``,
-        ``"trace"`` / ``"profile"`` / ``"rounds"``, a
-        :class:`~repro.obs.tracer.Tracer`, a
-        :class:`~repro.metrics.recorder.Recorder`, or a resolved
-        :class:`~repro.obs.observe.Observation`.  Accessible afterwards
-        as :attr:`observation` (with :attr:`tracer` / :attr:`recorder`
-        shortcuts).
+        ``"trace"`` or a :class:`~repro.obs.tracer.Tracer`.  The
+        resolved tracer (or ``None``) is :attr:`observation`, also
+        reachable as :attr:`tracer`.
     faults:
         Fault-injection plan (see :mod:`repro.faults`): ``None``, a
         :class:`~repro.faults.FaultPlan`, a plan spec string, or a ready
@@ -95,19 +92,18 @@ class ExecutionContext:
             backend_opts = dict(merged["backend_opts"] or {})
         self.observation = resolve_observe(observe)
         self.backend = resolve_backend(backend, **backend_opts)
-        if self.observation.tracer is not None:
-            self.backend.attach_tracer(self.observation.tracer)
+        if self.observation is not None:
+            self.backend.attach_tracer(self.observation)
         self.robustness = resolve_robustness(faults, health)
         if (
             self.robustness is not None
             and self.robustness.log.tracer is None
         ):
-            self.robustness.log.tracer = self.observation.tracer
+            self.robustness.log.tracer = self.observation
         self.control = resolve_control(deadline_ms)
         self.loop = RoundLoop(
             max_iterations=max_iterations,
-            recorder=self.observation.recorder,
-            tracer=self.observation.tracer,
+            tracer=self.observation,
             robustness=self.robustness,
             control=self.control,
         )
@@ -126,7 +122,7 @@ class ExecutionContext:
         self.robustness = robustness
         self.loop.robustness = robustness
         if robustness is not None and robustness.log.tracer is None:
-            robustness.log.tracer = self.observation.tracer
+            robustness.log.tracer = self.observation
         try:
             yield self
         finally:
@@ -151,14 +147,9 @@ class ExecutionContext:
             self.loop.control = previous
 
     @property
-    def recorder(self):
-        """The attached recorder, if any (via :attr:`observation`)."""
-        return self.observation.recorder
-
-    @property
     def tracer(self):
-        """The attached tracer, if any (via :attr:`observation`)."""
-        return self.observation.tracer
+        """The attached tracer, if any (same object as :attr:`observation`)."""
+        return self.observation
 
     # ------------------------------------------------------------------
     def buffers_for(self, graph):
@@ -216,7 +207,7 @@ class ExecutionContext:
                 hits=pool.pool_hits - pool_mark[0],
                 misses=pool.pool_misses - pool_mark[1],
             )
-        if self.observation.active:
+        if self.observation is not None:
             result.extra.setdefault("observation", self.observation)
         return result
 

@@ -11,8 +11,9 @@ schemes differ only in what a round does, so that difference is all a
   :class:`~repro.engine.errors.ConvergenceError` instead of silently
   returning a partial coloring;
 * the per-round changed-flag/worklist-size DtoH readback;
-* per-round structured metrics (into a
-  :class:`~repro.metrics.recorder.Recorder` when one is attached);
+* per-round ``round`` spans (when a tracer is attached) carrying the
+  round's ``iteration``, ``active`` and ``conflicts`` — the per-round
+  convergence table :func:`~repro.obs.export.round_rows` reads back;
 * assembling the :class:`~repro.coloring.base.ColoringResult` from the
   backend's timing span, so a shared backend reports per-run times.
 
@@ -142,7 +143,6 @@ class RoundLoop:
     """
 
     max_iterations: int = MAX_ITERATIONS
-    recorder: object | None = None  # metrics.Recorder, duck-typed
     tracer: object | None = None  # obs.Tracer, duck-typed
     robustness: object | None = None  # faults.Robustness, duck-typed
     control: object | None = None  # resilience.RunControl, duck-typed
@@ -205,7 +205,6 @@ class RoundLoop:
                     if rb is not None:
                         self._check_deadline_storm(rb, control, iterations)
                         self._inject_bitflip(rb, recipe, bufs, iterations)
-                    profiles_before = len(recipe.profiles)
                     round_span = (
                         tracer.begin(f"round-{iterations}", "round")
                         if tracer is not None
@@ -217,17 +216,16 @@ class RoundLoop:
                             tracer.end(round_span, active=0, conflicts=0)
                         break
                     ex.dtoh(recipe.flag_bytes)
+                    iterations += 1
+                    # post_round may launch (csrcolor's tail kernel): the
+                    # round span stays open so that work is its child.
+                    iterations += recipe.post_round(iterations)
                     if round_span is not None:
                         tracer.end(
                             round_span,
+                            iteration=iterations - 1,
                             active=status.active,
                             conflicts=status.conflicts,
-                        )
-                    iterations += 1
-                    iterations += recipe.post_round(iterations)
-                    if self.recorder is not None:
-                        self._record_round(
-                            graph, recipe, iterations - 1, status, profiles_before
                         )
                     if watch_window > 0 or invariants:
                         last_uncolored, stalled = self._check_round(
@@ -350,19 +348,6 @@ class RoundLoop:
         victim = rb.plan.index_for("result-corrupt", colors.size, {})
         bit = int(spec.param) % 31 if spec.param is not None else 0
         colors[victim] = np.int32(int(colors[victim]) ^ (1 << bit))
-
-    def _record_round(self, graph, recipe, iteration, status, profiles_before) -> None:
-        time_us = sum(
-            p.time_us for p in recipe.profiles[profiles_before:]
-        )
-        self.recorder.add_round(
-            scheme=recipe.scheme,
-            graph=getattr(graph, "name", "?"),
-            iteration=iteration,
-            active=status.active,
-            conflicts=status.conflicts,
-            time_us=float(time_us),
-        )
 
 
 def run_scheme(

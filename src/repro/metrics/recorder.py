@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .table import format_table
 
-__all__ = ["ExperimentRecord", "RoundRecord", "Recorder"]
+__all__ = ["ExperimentRecord", "Recorder"]
 
 
 @dataclass(frozen=True)
@@ -28,29 +28,11 @@ class ExperimentRecord:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One BSP round of a device scheme, as emitted by the engine loop.
-
-    The execution engine produces these when a recorder is attached to the
-    :class:`~repro.engine.context.ExecutionContext` — the per-round
-    convergence traces behind the iteration/conflict analyses.
-    """
-
-    scheme: str
-    graph: str
-    iteration: int
-    active: int  # vertices (or worklist entries) processed this round
-    conflicts: int  # vertices kicked back for recoloring
-    time_us: float  # summed kernel time of the round's launches
-
-
 @dataclass
 class Recorder:
     """Accumulates records for one experiment run."""
 
     records: list[ExperimentRecord] = field(default_factory=list)
-    rounds: list[RoundRecord] = field(default_factory=list)
 
     def add(
         self,
@@ -63,21 +45,6 @@ class Recorder:
     ) -> ExperimentRecord:
         rec = ExperimentRecord(experiment, graph, scheme, metric, float(value), extra)
         self.records.append(rec)
-        return rec
-
-    def add_round(
-        self,
-        *,
-        scheme: str,
-        graph: str,
-        iteration: int,
-        active: int,
-        conflicts: int,
-        time_us: float,
-    ) -> RoundRecord:
-        """Record one engine round (called by the engine's round loop)."""
-        rec = RoundRecord(scheme, graph, iteration, active, conflicts, float(time_us))
-        self.rounds.append(rec)
         return rec
 
     def values(self, *, experiment=None, graph=None, scheme=None, metric=None):

@@ -1,18 +1,21 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, flat JSONL, flame summary.
+"""Trace exporters: Chrome ``trace_event`` JSON, flat JSONL, summaries.
 
-Three consumers of one :class:`~repro.obs.tracer.Tracer`:
+Four consumers of one :class:`~repro.obs.tracer.Tracer`:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` format (complete ``"X"`` events, microsecond
-  timestamps), loadable in ``chrome://tracing`` and Perfetto.  Kernel,
-  transfer and phase spans land on one "thread" per span depth so the
-  nesting renders as a flame graph.
+  timestamps), loadable in ``chrome://tracing`` and Perfetto.  Every
+  span is an event on one thread (``pid``/``tid`` 0); the viewer nests
+  them by time containment, so the span tree renders as a flame graph.
 * :func:`jsonl_events` / :func:`write_jsonl` — one JSON object per span,
   flat, grep/pandas-friendly (the machine-readable twin of the Chrome
   view).
 * :func:`flame_summary` — a terminal roll-up built on
   :func:`~repro.metrics.table.format_table`: simulated time by span
   name with counts and shares, the ``nvprof --print-gpu-summary`` view.
+* :func:`round_rows` — the per-round convergence table (active
+  vertices, conflicts, kernel time per round) read from the ``round``
+  spans.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "jsonl_events",
     "write_jsonl",
     "flame_summary",
+    "round_rows",
 ]
 
 #: Strip per-iteration suffixes (``data-color-17`` -> ``data-color``) so
@@ -51,7 +55,7 @@ def _args(span: Span) -> dict:
 def chrome_trace(tracer: Tracer) -> dict:
     """Render the trace as a Chrome ``trace_event`` JSON object."""
     events = []
-    for span, depth in tracer.walk():
+    for span, _ in tracer.walk():
         duration = span.duration_us
         event = {
             "name": span.name,
@@ -156,3 +160,26 @@ def flame_summary(tracer: Tracer, *, top: int | None = None) -> str:
         ]
         table += "\nruns:\n" + "\n".join(lines)
     return table
+
+
+def round_rows(tracer) -> list[dict]:
+    """Per-round convergence rows read from the trace's ``round`` spans.
+
+    One dict per counted engine round, in execution order: ``iteration``
+    (the round's index in its run), ``active`` (vertices processed),
+    ``conflicts`` (vertices sent back for recoloring) and ``time_us``
+    (summed kernel time of the round's launches).  A round that found no
+    work launches nothing and is not counted by the engine, so its span
+    carries no ``iteration`` and yields no row.  ``tracer`` may also be
+    one :class:`~repro.obs.tracer.Span` subtree (e.g. one run).
+    """
+    return [
+        {
+            "iteration": span.counters["iteration"],
+            "active": span.counters["active"],
+            "conflicts": span.counters["conflicts"],
+            "time_us": span.total("kernel_us"),
+        }
+        for span, _ in tracer.walk()
+        if span.category == "round" and "iteration" in span.counters
+    ]

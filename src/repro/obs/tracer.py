@@ -21,7 +21,9 @@ Producers (the engine loop, the backends, :class:`~repro.gpusim.device.
 Device`) talk to the tracer through three calls: :meth:`Tracer.begin` /
 :meth:`Tracer.end` for nested phases, :meth:`Tracer.event` for priced
 leaves.  Consumers read :attr:`Tracer.roots` or :meth:`Tracer.walk` and
-the exporters in :mod:`repro.obs.export`.
+the exporters in :mod:`repro.obs.export` — including
+:func:`~repro.obs.export.round_rows`, the per-round convergence table
+read from the ``round`` spans.
 """
 
 from __future__ import annotations
@@ -198,8 +200,21 @@ class Tracer:
         ]
 
     def runs(self) -> list[Span]:
-        """The ``run`` root spans, in execution order."""
-        return [s for s in self.roots if s.category == "run"]
+        """The outermost ``run`` spans at any depth, in execution order.
+
+        Runs grafted under ``worker``/``device`` wrappers count; the piece
+        runs nested inside a partitioned run do not (their enclosing run
+        is listed instead).
+        """
+        out: list[Span] = []
+        pending = list(reversed(self.roots))
+        while pending:
+            span = pending.pop()
+            if span.category == "run":
+                out.append(span)
+            else:
+                pending.extend(reversed(span.children))
+        return out
 
     @property
     def total_us(self) -> float:

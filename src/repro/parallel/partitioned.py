@@ -270,10 +270,8 @@ class _Run:
         self.source, self.exchange = source, exchange
         self.validate, self.max_resolution_rounds = validate, max_resolution_rounds
         self.name = getattr(graph, "name", "?")
-        self.observation = resolve_observe(engine.get("observe"))
-        self.tracer = self.observation.tracer
-        #: What to hand nested runs as ``observe=`` (None when inactive).
-        self.forward_observe = self.observation if self.observation.active else None
+        #: Shared with every nested piece run (``observe=`` of each).
+        self.tracer = resolve_observe(engine.get("observe"))
         self.robustness = resolve_robustness(engine.get("faults"), engine.get("health"))
         self.control = resolve_control(engine.get("deadline_ms"))
         self.ckpt = None
@@ -431,8 +429,8 @@ class _Run:
                 num_kernel_launches=agg["launches"],
             )
             result.extra["shard_stats"] = stats
-            if self.forward_observe is not None:
-                result.extra.setdefault("observation", self.observation)
+            if tracer is not None:
+                result.extra.setdefault("observation", tracer)
             self._annex(result)
             span_end = {"colors": result.num_colors, "iterations": result.iterations,
                         "resolution_rounds": self.rounds, "sync_rounds": stats["sync_rounds"]}

@@ -46,9 +46,9 @@ docs/PARALLEL.md.
 
 :func:`run_jobs` is the orchestrator ``color_many`` calls: result-cache
 lookups happen in the coordinator (hits never reach a worker), per-job
-worker subtraces merge into the batch tracer, per-round records replay
-into the batch recorder, and failed jobs degrade to a serial re-run
-when the batch's health policy allows it.
+worker subtraces merge into the batch tracer (their ``round`` spans
+carry the per-round records), and failed jobs degrade to a serial
+re-run when the batch's health policy allows it.
 """
 
 from __future__ import annotations
@@ -111,17 +111,17 @@ def backoff_delay(base: float, round_index: int, *,
 
 
 # ---------------------------------------------------------------------------
-# The shared per-job runner (used in-process by SerialScheduler and inside
-# worker processes by ProcessPoolScheduler).
+# The shared per-job runner (used in-process by SerialScheduler and the
+# distributed LocalTransport, inside worker processes by
+# ProcessPoolScheduler).
 # ---------------------------------------------------------------------------
 def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
-             validate: bool, want_trace: bool, want_rounds: bool,
-             robustness=None, control=None):
-    """Execute one job; returns ``(result, trace_roots, round_records)``.
+             validate: bool, want_trace: bool, robustness=None, control=None):
+    """Execute one job; returns ``(result, trace_roots)``.
 
     Untraced device jobs share the ``ctx_map`` ExecutionContext (upload
-    caching, pooled buffers); observed jobs get an ephemeral context with
-    a job-local tracer/recorder whose contents the coordinator merges.
+    caching, pooled buffers); traced jobs get an ephemeral context with
+    a job-local tracer whose spans the coordinator merges.
     ``robustness`` (if any) is scoped onto the context for the run, so
     the engine-level injection sites and guard rails see it.
     """
@@ -130,19 +130,13 @@ def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
     from ..coloring.api import ENGINE_RECIPES, color_graph
     from ..engine.context import ExecutionContext
     from ..faults import runtime as fault_runtime
-    from ..metrics.recorder import Recorder
-    from ..obs.observe import Observation
     from ..obs.tracer import Tracer
 
     tracer = Tracer() if want_trace else None
-    recorder = Recorder() if want_rounds else None
-    observed = tracer is not None or recorder is not None
     if job.method in ENGINE_RECIPES:
-        if observed:
+        if tracer is not None:
             ctx = ExecutionContext(
-                backend=backend,
-                observe=Observation(tracer=tracer, recorder=recorder),
-                **dict(backend_opts or {}),
+                backend=backend, observe=tracer, **dict(backend_opts or {}),
             )
         else:
             ctx = ctx_map.get("ctx")
@@ -167,19 +161,14 @@ def _run_one(ctx_map: dict, job: ColorJob, backend, backend_opts: dict,
     else:
         # Host-side schemes take no backend; in a batch the backend applies
         # to the device jobs only.
-        observe = Observation(tracer=tracer, recorder=recorder) if observed else None
         with fault_runtime.activate(robustness), activate_control(control):
             result = color_graph(
-                job.graph, job.method, validate=validate, observe=observe,
+                job.graph, job.method, validate=validate, observe=tracer,
                 **job.options
             )
-    # The coordinator attaches its own observation handle.
+    # The coordinator attaches its own tracer.
     result.extra.pop("observation", None)
-    return (
-        result,
-        tracer.roots if tracer is not None else None,
-        recorder.rounds if recorder is not None else None,
-    )
+    return result, tracer.roots if tracer is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +271,16 @@ def _resolve_job_graph(job: ColorJob):
 
 def _worker_run(payload):
     """Run one job in a worker.  Payload:
-    ``(index, job, validate, want_trace, want_rounds, attempt, plan,
-    policy, directive, budget)`` — attempt through directive are the
+    ``(index, job, validate, want_trace, attempt, plan, policy,
+    directive, budget)`` — attempt through directive are the
     fault-injection leg, ``budget`` the shipped deadline snapshot
     (``None``-heavy in normal operation).  Returns ``("ok", index,
-    result, roots, rounds, report)``, ``("deadline", index, payload,
+    result, roots, report)``, ``("deadline", index, payload,
     report)`` for a budget expiry (never retried), or ``("err", index,
     error, tb, report)`` where ``report`` carries the worker-side
     fired-fault and degradation records for the coordinator to absorb.
     """
-    (index, job, validate, want_trace, want_rounds,
+    (index, job, validate, want_trace,
      attempt, plan, policy, directive, budget) = payload
     rb = None
     if plan is not None or policy is not None:
@@ -316,13 +305,12 @@ def _worker_run(payload):
                 )
         graph = _resolve_job_graph(job)
         canonical = ColorJob(graph, job.method, job.options)
-        result, roots, rounds = _run_one(
+        result, roots = _run_one(
             _WORKER_STATE["ctx_map"], canonical,
             _WORKER_STATE["backend"], _WORKER_STATE["backend_opts"],
-            validate, want_trace, want_rounds, robustness=rb,
-            control=control,
+            validate, want_trace, robustness=rb, control=control,
         )
-        return ("ok", index, result, roots, rounds, _worker_report(rb))
+        return ("ok", index, result, roots, _worker_report(rb))
     except (DeadlineExceeded, Cancelled) as exc:
         # A blown budget is final — retrying cannot un-spend time.
         return ("deadline", index, exc.to_dict(), _worker_report(rb))
@@ -373,8 +361,7 @@ class SerialScheduler:
         self.jitter_seed = jitter_seed
 
     def execute(self, jobs, *, backend=None, backend_opts=None, validate=True,
-                want_trace=False, want_rounds=False, robustness=None,
-                control=None):
+                want_trace=False, robustness=None, control=None):
         ctx_map: dict = {}
         outcomes = []
         for i, job in enumerate(jobs):
@@ -393,7 +380,7 @@ class SerialScheduler:
                             )
                     outcomes.append(_run_one(
                         ctx_map, job, backend, backend_opts or {},
-                        validate, want_trace, want_rounds,
+                        validate, want_trace,
                         robustness=robustness, control=control,
                     ))
                     break
@@ -495,8 +482,7 @@ class ProcessPoolScheduler:
         return None
 
     def execute(self, jobs, *, backend=None, backend_opts=None, validate=True,
-                want_trace=False, want_rounds=False, robustness=None,
-                control=None):
+                want_trace=False, robustness=None, control=None):
         if backend is not None and not isinstance(backend, str):
             raise TypeError(
                 "the process scheduler needs a picklable backend spec: pass "
@@ -523,7 +509,7 @@ class ProcessPoolScheduler:
                     attempts[i] += 1
                     directive = self._directive(robustness, i, attempts[i])
                     budget = control.ship() if control is not None else None
-                    payload = (i, jobs[i], validate, want_trace, want_rounds,
+                    payload = (i, jobs[i], validate, want_trace,
                                attempts[i], plan, policy, directive, budget)
                     futures.append((i, pool.submit(_worker_run, payload)))
                 failed, refunded = [], []
@@ -553,9 +539,9 @@ class ProcessPoolScheduler:
                         rebuild = broken = True
                         continue
                     if out[0] == "ok":
-                        _, idx, result, roots, rounds, report = out
+                        _, idx, result, roots, report = out
                         _absorb_worker_report(robustness, report)
-                        outcomes[idx] = (result, roots, rounds)
+                        outcomes[idx] = (result, roots)
                     elif out[0] == "deadline":
                         _, idx, exc_payload, report = out
                         _absorb_worker_report(robustness, report)
@@ -669,8 +655,7 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
     :class:`~repro.coloring.base.ColoringResult` or a
     :class:`~repro.parallel.jobs.JobFailure`.  Cache hits are resolved in
     the coordinator and never reach a worker; worker subtraces merge into
-    the batch tracer as ``worker`` spans; worker round records replay
-    into the batch recorder.
+    the batch tracer as ``worker`` spans.
 
     ``store=`` selects the graph arena (see :mod:`repro.graph.store`):
     with ``'shm'`` or ``'mmap'`` the coordinator publishes each unique
@@ -708,8 +693,7 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
         faults, health = merged["faults"], merged["health"]
         observe, deadline_ms = merged["observe"], merged["deadline_ms"]
     jobs = list(jobs)
-    observation = resolve_observe(observe)
-    tracer, recorder = observation.tracer, observation.recorder
+    tracer = resolve_observe(observe)
     cache_obj = resolve_cache(cache)
     sched = resolve_scheduler(scheduler, workers)
     robustness = resolve_robustness(faults, health)
@@ -750,17 +734,15 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                 traceback=outcome.traceback,
             )
             return
-        result, roots, rounds = outcome
-        if tracer is not None and roots:
-            tracer.merge_subtrace(
-                roots, label=f"job-{index}:{jobs[index].label()}",
-                scheme=jobs[index].method,
-                graph=jobs[index].graph_name(),
-            )
-        if recorder is not None and rounds:
-            recorder.rounds.extend(rounds)
-        if observation.active:
-            result.extra.setdefault("observation", observation)
+        result, roots = outcome
+        if tracer is not None:
+            if roots:
+                tracer.merge_subtrace(
+                    roots, label=f"job-{index}:{jobs[index].label()}",
+                    scheme=jobs[index].method,
+                    graph=jobs[index].graph_name(),
+                )
+            result.extra.setdefault("observation", tracer)
         if cache_obj is not None and keys[index] is not None:
             cache_obj.put(keys[index], result)
             if robustness is not None:
@@ -787,8 +769,8 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                         tracer.event(f"result-cache:{job.label()}", "cache",
                                      hit=int(hit is not None), miss=int(hit is None))
                     if hit is not None:
-                        if observation.active:
-                            hit.extra.setdefault("observation", observation)
+                        if tracer is not None:
+                            hit.extra.setdefault("observation", tracer)
                         results[i] = hit
                         continue
                 to_run.append(i)
@@ -797,7 +779,7 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                 return results
             execute_kwargs = dict(
                 backend=backend, backend_opts=backend_opts, validate=validate,
-                want_trace=tracer is not None, want_rounds=recorder is not None,
+                want_trace=tracer is not None,
             )
             if robustness is not None:
                 execute_kwargs["robustness"] = robustness
@@ -833,7 +815,6 @@ def run_jobs(jobs, *, workers=None, scheduler=None, backend=None,
                     [jobs[i] for i in still_failed],
                     backend=backend, backend_opts=backend_opts, validate=validate,
                     want_trace=tracer is not None,
-                    want_rounds=recorder is not None,
                     robustness=healer,
                     control=control,
                 )

@@ -57,7 +57,7 @@ class _ShardJobs(BlockSource):
         primary = dict(workers=e["workers"], scheduler=e["scheduler"], faults=run.robustness,
                        store=e["store"], deadline_ms=run.control)
         return run_jobs(jobs, backend=e["backend"], backend_opts=e["backend_opts"],
-                        observe=run.forward_observe, validate=run.validate,
+                        observe=run.tracer, validate=run.validate,
                         **{**primary, **override})
 
     def degrade(self, run, failures):
@@ -85,8 +85,8 @@ class _ShardJobs(BlockSource):
             "degraded": "unsharded", "failed_shards": failed,
             "sync_rounds": 0, "halo_bytes_modeled": 0, "speculation_hits": 0,
         }
-        if run.forward_observe is not None:
-            outcome.extra.setdefault("observation", run.observation)
+        if run.tracer is not None:
+            outcome.extra.setdefault("observation", run.tracer)
         return outcome
 
 

@@ -114,7 +114,7 @@ class _Windows(PieceSource):
         from ..engine.context import ExecutionContext
 
         ctx = ExecutionContext(
-            backend=self.engine["backend"], observe=run.forward_observe, faults=run.robustness,
+            backend=self.engine["backend"], observe=run.tracer, faults=run.robustness,
             health=None, **dict(self.engine["backend_opts"] or {}),
         )
         for widx in range(run.done, self.num_pieces):

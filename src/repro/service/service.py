@@ -589,12 +589,12 @@ class ColoringService:
 
     @property
     def tracer(self):
-        return self.observation.tracer
+        return self.observation
 
     def _trace(self, name: str, category: str, **counters) -> None:
         # Event-loop thread only: the tracer is not thread-safe.
-        if self.observation.tracer is not None:
-            self.observation.tracer.event(name, category, **counters)
+        if self.observation is not None:
+            self.observation.event(name, category, **counters)
 
 
 def _us_since(started: float) -> float:

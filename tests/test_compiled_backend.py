@@ -302,9 +302,9 @@ def test_runconfig_is_frozen_and_replace_derives():
     cfg = RunConfig(backend="compiled", workers=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.backend = "gpusim"
-    derived = cfg.replace(workers=None, observe="rounds")
+    derived = cfg.replace(workers=None, observe="trace")
     assert derived.backend == "compiled"
-    assert derived.workers is None and derived.observe == "rounds"
+    assert derived.workers is None and derived.observe == "trace"
     assert cfg.workers == 2  # original untouched
 
 

@@ -48,6 +48,7 @@ from repro.distributed import (
 )
 from repro.graph.builder import complete_graph, path_graph
 from repro.graph.partition import block_partition
+from repro.obs import round_rows
 from repro.parallel import color_streamed
 from repro.parallel.cache import job_cache_key
 from repro.parallel.scheduler import ProcessPoolScheduler
@@ -433,9 +434,43 @@ def test_run_config_conflicts_and_unsupported(medium):
 
 
 # ---------------------------------------------------------- observability
+_MODES = {
+    "sharded": lambda g: color_sharded(g, "data-ldg", num_shards=4, observe="trace"),
+    "sharded-workers": lambda g: color_sharded(
+        g, "data-ldg", num_shards=4, workers=2, observe="trace"),
+    "streamed": lambda g: color_streamed(g, "data-ldg", num_windows=4, observe="trace"),
+    "distributed-local": lambda g: color_distributed(
+        g, "data-ldg", devices=4, transport="local", observe="trace"),
+    "distributed-pool": lambda g: color_distributed(
+        g, "data-ldg", devices=4, transport="pool", workers=2, observe="trace"),
+}
+
+
+def _round_pairs(result):
+    return [(r["active"], r["conflicts"]) for r in round_rows(result.observation)]
+
+
+@pytest.mark.parametrize("mode", [
+    "sharded", "sharded-workers", "streamed", "distributed-local",
+    pytest.param("distributed-pool", marks=fork_only),
+])
+def test_every_partitioned_mode_traces_the_same_rounds(medium, mode):
+    """Per-round data does not depend on how the pieces were run.
+
+    Only counts are compared: streamed windows share one warm context,
+    so their simulated round times legitimately differ.
+    """
+    reference = _round_pairs(_MODES["sharded"](medium))
+    result = _MODES[mode](medium)
+    assert len(reference) > 4  # four pieces, several rounds each
+    assert _round_pairs(result) == reference
+    [run] = result.observation.runs()  # the piece runs nest inside it
+    assert len(run.find("run")) == 5
+
+
 def test_trace_merges_device_subtraces_and_exchanges(medium):
     dist = color_distributed(medium, "data-ldg", devices=4, observe="trace")
-    tracer = dist.observation.tracer
+    tracer = dist.observation
     [root] = tracer.roots
     assert root.category == "run" and root.name.startswith("distributed:")
     assert root.counters["devices"] == 4

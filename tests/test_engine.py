@@ -17,7 +17,7 @@ from repro.engine import (
     run_scheme,
 )
 from repro.gpusim.device import Device
-from repro.metrics.recorder import Recorder, RoundRecord
+from repro.obs import round_rows
 
 
 # ------------------------------------------------------------- backends
@@ -178,18 +178,17 @@ def test_convergence_error_releases_worklists(small_mesh):
 
 
 # ------------------------------------------------------- round recording
-def test_recorder_receives_round_trace(small_er):
-    rec = Recorder()
-    ctx = ExecutionContext(observe=rec)
+def test_round_spans_carry_round_trace(small_er):
+    ctx = ExecutionContext(observe="trace")
     result = ctx.run(small_er, "topo-base")
-    rounds = [r for r in rec.rounds if r.scheme == "topo-base"]
+    [run] = ctx.tracer.runs()
+    assert run.counters["graph"] == small_er.name
+    rounds = round_rows(run)
     assert len(rounds) == result.iterations
-    assert [r.iteration for r in rounds] == list(range(result.iterations))
-    assert all(isinstance(r, RoundRecord) for r in rounds)
-    assert rounds[0].graph == small_er.name
-    assert rounds[0].active == small_er.num_vertices
-    assert rounds[-1].active == 0  # the terminating empty round
-    assert all(r.time_us >= 0.0 for r in rounds)
+    assert [r["iteration"] for r in rounds] == list(range(result.iterations))
+    assert rounds[0]["active"] == small_er.num_vertices
+    assert rounds[-1]["active"] == 0  # the terminating empty round
+    assert all(r["time_us"] >= 0.0 for r in rounds)
 
 
 # ------------------------------------------------------- custom recipes

@@ -1,6 +1,8 @@
 """Observability: span tracing, exporters, and the observe= surface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from repro.graph.builder import from_edges
 from repro.graph.generators import rmat_er
 from repro.metrics.recorder import Recorder
 from repro.obs import (
-    Observation,
     Span,
     Tracer,
     chrome_trace,
     flame_summary,
     jsonl_events,
     resolve_observe,
+    round_rows,
     write_chrome_trace,
     write_jsonl,
 )
@@ -63,8 +65,8 @@ def test_tracer_end_closes_abandoned_children():
 
 # ------------------------------------------------------------- span tree shape
 def test_topo_span_tree_shape_and_counters(small_er, traced_topo):
-    result, obs = traced_topo
-    runs = obs.tracer.runs()
+    result, tracer = traced_topo
+    runs = tracer.runs()
     assert len(runs) == 1
     run = runs[0]
     assert run.counters["scheme"] == "topo-base"
@@ -96,7 +98,7 @@ def test_topo_span_tree_shape_and_counters(small_er, traced_topo):
 
 def test_datadriven_span_counters_track_worklist(small_er):
     result = color_graph(small_er, "data-ldg", observe="trace")
-    run = result.observation.tracer.runs()[0]
+    run = result.observation.runs()[0]
     rounds = [c for c in run.children if c.category == "round"]
     assert len(rounds) == result.iterations
     # first round processes the full vertex set; actives shrink monotonically
@@ -111,7 +113,7 @@ def test_datadriven_span_counters_track_worklist(small_er):
 
 def test_cpusim_backend_traces_kernels(small_er):
     result = color_graph(small_er, "data-base", backend="cpusim", observe="trace")
-    tracer = result.observation.tracer
+    tracer = result.observation
     kernels = tracer.spans("kernel")
     assert len(kernels) == result.num_kernel_launches
     assert all(k.counters["instructions"] > 0 for k in kernels)
@@ -122,7 +124,7 @@ def test_cpusim_backend_traces_kernels(small_er):
 
 def test_host_scheme_gets_synthetic_run_span(small_er):
     result = color_graph(small_er, "sequential", observe="trace")
-    run = result.observation.tracer.runs()[0]
+    run = result.observation.runs()[0]
     assert run.counters["backend"] == "host"
     assert run.duration_us == pytest.approx(result.total_time_us)
     assert run.counters["colors"] == result.num_colors
@@ -142,8 +144,8 @@ def test_context_cache_and_pool_events(small_er):
 
 # ------------------------------------------------------------------ exporters
 def test_chrome_trace_is_valid_and_monotone(traced_topo, tmp_path):
-    _, obs = traced_topo
-    path = write_chrome_trace(obs.tracer, tmp_path / "trace.json")
+    _, tracer = traced_topo
+    path = write_chrome_trace(tracer, tmp_path / "trace.json")
     data = json.loads(path.read_text(encoding="utf-8"))
     events = data["traceEvents"]
     assert events, "trace must not be empty"
@@ -158,23 +160,23 @@ def test_chrome_trace_is_valid_and_monotone(traced_topo, tmp_path):
 
 
 def test_jsonl_export_one_object_per_span(traced_topo, tmp_path):
-    _, obs = traced_topo
-    path = write_jsonl(obs.tracer, tmp_path / "events.jsonl")
+    _, tracer = traced_topo
+    path = write_jsonl(tracer, tmp_path / "events.jsonl")
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(obs.tracer)
+    assert len(lines) == len(tracer)
     parsed = [json.loads(line) for line in lines]
     assert parsed[0]["category"] in ("cache", "alloc", "htod", "run")
     assert all(p["duration_us"] >= 0 for p in parsed)
-    assert list(jsonl_events(obs.tracer))[0]["depth"] == 0
+    assert list(jsonl_events(tracer))[0]["depth"] == 0
 
 
 def test_flame_summary_attributes_leaf_time(traced_topo):
-    _, obs = traced_topo
-    text = flame_summary(obs.tracer)
+    _, tracer = traced_topo
+    text = flame_summary(tracer)
     assert "topo-color" in text and "topo-conflict" in text
     assert "dtoh" in text
     assert "runs:" in text
-    top = flame_summary(obs.tracer, top=1)
+    top = flame_summary(tracer, top=1)
     assert len(top.splitlines()) < len(text.splitlines())
 
 
@@ -183,38 +185,66 @@ def test_observation_does_not_perturb_results(small_er):
     for method in ("topo-base", "data-ldg", "csrcolor", "3step-gm"):
         plain = color_graph(small_er, method)
         traced = color_graph(small_er, method, observe="trace")
-        recorded = color_graph(small_er, method, observe="rounds")
         assert np.array_equal(plain.colors, traced.colors)
-        assert np.array_equal(plain.colors, recorded.colors)
-        assert plain.iterations == traced.iterations == recorded.iterations
-        assert plain.total_time_us == pytest.approx(traced.total_time_us)
+        assert plain.iterations == traced.iterations
+        assert plain.total_time_us == traced.total_time_us
+        assert isinstance(traced.observation, Tracer)
         # observe=None attaches nothing
         assert "observation" not in plain.extra
 
 
 # ------------------------------------------------------------ observe= resolution
 def test_resolve_observe_forms():
-    assert not resolve_observe(None).active
+    assert resolve_observe(None) is None
     tr = Tracer()
-    assert resolve_observe(tr).tracer is tr
-    rec = Recorder()
-    assert resolve_observe(rec).recorder is rec
-    obs = Observation(tracer=tr)
-    assert resolve_observe(obs) is obs
-    assert resolve_observe("trace").tracer is not None
-    assert resolve_observe("profile").mode == "profile"
-    assert resolve_observe("rounds").recorder is not None
-    with pytest.raises(ValueError, match="unknown observe shorthand"):
-        resolve_observe("spans")
-    with pytest.raises(TypeError):
-        resolve_observe(42)
+    assert resolve_observe(tr) is tr
+    assert isinstance(resolve_observe("trace"), Tracer)
+    assert resolve_observe("trace") is not resolve_observe("trace")
+    for retired in ("profile", "rounds", "spans", 42, Recorder()):
+        with pytest.raises(ValueError, match="None, 'trace' or a Tracer"):
+            resolve_observe(retired)
 
 
-def test_observe_recorder_collects_rounds(small_er):
-    result = color_graph(small_er, "data-base", observe="rounds")
-    rec = result.observation.recorder
-    assert len(rec.rounds) == result.iterations
-    assert rec.rounds[0].active == small_er.num_vertices
+def test_round_rows_read_from_round_spans(small_er):
+    result = color_graph(small_er, "data-base", observe="trace")
+    rows = round_rows(result.observation)
+    assert [r["iteration"] for r in rows] == list(range(result.iterations))
+    assert rows[0]["active"] == small_er.num_vertices
+    assert rows[-1]["conflicts"] == 0
+    [run] = result.observation.runs()
+    assert round_rows(run) == rows  # a run subtree reads the same rows
+    assert sum(r["time_us"] for r in rows) == pytest.approx(run.total("kernel_us"))
+
+
+def test_csrcolor_tail_kernel_is_inside_last_round_span(small_er):
+    """The fraction fast path's tail kernel belongs to the round that
+    launched it, and the rows match the per-round records the engine
+    produced before round spans replaced them."""
+    result = color_graph(small_er, "csrcolor", fraction=0.5, observe="trace")
+    rounds = result.observation.spans("round")
+    assert [c.name for c in rounds[-1].children if c.category == "kernel"] == [
+        "csrcolor-2", "csrcolor-tail-3",
+    ]
+    rows = [
+        (r["iteration"], r["active"], r["conflicts"], r["time_us"])
+        for r in round_rows(result.observation)
+    ]
+    assert rows == [
+        (0, 256, 186, 28.198182247403214),
+        (1, 186, 137, 23.093720491029273),
+        (3, 137, 99, 20.205972615675165),
+    ]
+    assert result.iterations == 4
+
+
+def test_unexecuted_round_yields_no_row():
+    """3-step GM's early exit opens a round span that launches nothing;
+    the engine does not count it, so it is not a row either."""
+    g = from_edges([], [], num_vertices=0, name="empty")
+    result = color_graph(g, "3step-gm", observe="trace")
+    [span] = result.observation.spans("round")
+    assert not span.children and "iteration" not in span.counters
+    assert round_rows(result.observation) == []
 
 
 def test_observe_shared_tracer_across_calls(small_er):
@@ -232,15 +262,18 @@ def test_observe_rejected_alongside_context(small_er):
         color_graph(small_er, "data-ldg", context=ctx, observe="trace")
 
 
-def test_observation_without_tracer_refuses_trace_views():
-    obs = Observation(recorder=Recorder())
-    with pytest.raises(ValueError, match="no tracer"):
-        obs.chrome_trace()
+def test_degradation_events_land_in_the_trace(small_er):
+    plan = "seed=7; kernel-transient: kernel=data-color-0, max_fires=1"
+    healed = color_graph(small_er, "data-ldg", observe="trace", faults=plan)
+    names = [s.name for s in healed.observation.spans()]
+    assert any(name.startswith("degrade:") for name in names)
+    assert np.array_equal(healed.colors, color_graph(small_er, "data-ldg").colors)
 
 
 # ------------------------------------------------- retired recorder= keyword
 def test_recorder_keyword_removed(small_er):
-    """recorder= is gone: every entry point rejects it as an unknown option."""
+    """recorder= is gone: every entry point rejects it as an unknown option,
+    and a Recorder is not an observe= value either."""
     rec = Recorder()
     with pytest.raises(TypeError):
         ExecutionContext(recorder=rec)
@@ -250,10 +283,8 @@ def test_recorder_keyword_removed(small_er):
 
     with pytest.raises(TypeError):
         color_many([small_er], "data-base", recorder=rec)
-    # The supported spelling still routes rounds into the recorder.
-    result = color_graph(small_er, "data-base", observe=rec)
-    assert result.observation.recorder is rec
-    assert len(rec.rounds) == result.iterations
+    with pytest.raises(ValueError, match="a Tracer"):
+        color_graph(small_er, "data-base", observe=rec)
 
 
 # ------------------------------------------------------------------- CLI
@@ -289,25 +320,44 @@ def test_cli_color_observe_flags(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["traceEvents"]
     rc = main([
         "color", "--graph", "rmat-er", "--method", "data-base",
-        "--scale-div", "256", "--observe", "rounds",
+        "--scale-div", "256", "--observe", "trace",
     ])
     assert rc == 0
-    assert "per-round trace:" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    # flame summary first, then the per-round table read from round spans
+    assert 0 <= out_text.index("flame summary") < out_text.index("per-round trace:")
+    for retired in ("rounds", "profile"):
+        with pytest.raises(SystemExit):
+            main(["color", "--graph", "rmat-er", "--observe", retired])
 
 
 # ----------------------------------------------------------------- edge cases
 def test_empty_graph_traces_cleanly():
     g = from_edges([], [], num_vertices=0, name="empty")
     result = color_graph(g, "data-ldg", observe="trace")
-    run = result.observation.tracer.runs()[0]
+    run = result.observation.runs()[0]
     assert run.counters["iterations"] == 0
     assert result.num_kernel_launches == 0
 
 
 def test_span_repr_and_find(traced_topo):
-    _, obs = traced_topo
-    run = obs.tracer.runs()[0]
+    _, tracer = traced_topo
+    run = tracer.runs()[0]
     assert "run" in repr(run)
     assert all(isinstance(s, Span) for s in run.find("kernel"))
-    dump = chrome_trace(obs.tracer)
+    dump = chrome_trace(tracer)
     assert dump["otherData"]["source"].startswith("repro.obs")
+
+
+# ------------------------------------------------------------------- docs
+def test_observability_doc_python_blocks_run(tmp_path, monkeypatch, capsys):
+    """docs/OBSERVABILITY.md's python blocks run, in order, as one session."""
+    doc = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+    blocks = re.findall(r"```python\n(.*?)```", doc.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(doc), "exec"), namespace)
+    assert (tmp_path / "trace.json").exists() and (tmp_path / "events.jsonl").exists()
+    assert "flame summary" in capsys.readouterr().out

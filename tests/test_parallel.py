@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import color_graph, color_many
+from repro.obs import chrome_trace, flame_summary, round_rows
 from repro.parallel import (
     ColorJob,
     JobFailure,
@@ -179,9 +180,8 @@ def test_hung_worker_times_out(monkeypatch):
 def test_worker_subtraces_merge_into_one_exportable_trace():
     graphs = [_graph("rmat-er"), _graph("rmat-g")]
     results = color_many(graphs, "data-ldg", workers=2, observe="trace")
-    obs = results[0].observation
-    assert obs is results[1].observation  # one batch-wide observation
-    tracer = obs.tracer
+    tracer = results[0].observation
+    assert tracer is results[1].observation  # one batch-wide tracer
     workers = [s for s in tracer.roots if s.category == "worker"]
     assert len(workers) == 2
     assert [len(w.find("run")) for w in workers] == [1, 1]
@@ -189,17 +189,28 @@ def test_worker_subtraces_merge_into_one_exportable_trace():
     assert workers[0].start_us <= workers[0].end_us <= workers[1].start_us
     for span, _ in tracer.walk():
         assert span.end_us is not None and span.end_us >= span.start_us
-    events = obs.chrome_trace()["traceEvents"]
+    events = chrome_trace(tracer)["traceEvents"]
     assert events
 
 
-def test_worker_rounds_replay_into_batch_recorder():
+def test_worker_runs_and_rounds_match_serial_batch():
+    """Runs grafted under worker spans are found like root runs: the
+    workers=2 trace lists the serial batch's runs and round rows."""
     graphs = [_graph("rmat-er"), _graph("rmat-g")]
-    serial = color_many(graphs, "data-ldg", observe="rounds")
-    parallel = color_many(graphs, "data-ldg", workers=2, observe="rounds")
-    n_serial = len(serial[0].observation.recorder.rounds)
-    n_parallel = len(parallel[0].observation.recorder.rounds)
-    assert n_parallel == n_serial > 0
+    serial = color_many(graphs, "data-ldg", observe="trace")[0].observation
+    parallel = color_many(graphs, "data-ldg", workers=2, observe="trace")[0].observation
+
+    def listing(tracer):
+        return [(r.name, r.counters["iterations"]) for r in tracer.runs()]
+
+    assert listing(parallel) == listing(serial)
+    assert len(listing(serial)) == 2
+    pairs = [[(r["active"], r["conflicts"]) for r in round_rows(t)]
+             for t in (serial, parallel)]
+    assert pairs[0] == pairs[1] and pairs[0]
+    summaries = [flame_summary(t).split("runs:\n")[1] for t in (serial, parallel)]
+    assert [line.split(" rounds")[0] for line in summaries[0].splitlines()] == \
+        [line.split(" rounds")[0] for line in summaries[1].splitlines()]
 
 
 # ---------------------------------------------------------------------------

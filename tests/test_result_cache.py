@@ -58,11 +58,11 @@ def test_hit_skips_round_loop_entirely(g):
     cache = ResultCache()
     miss = color_graph(g, "data-ldg", cache=cache, observe="trace")
     assert not miss.cache_hit
-    assert miss.observation.tracer.runs()  # the miss executed a run span
+    assert miss.observation.runs()  # the miss executed a run span
 
     hit = color_graph(g, "data-ldg", cache=cache, observe="trace")
     assert hit.cache_hit
-    tracer = hit.observation.tracer
+    tracer = hit.observation
     assert tracer.runs() == []  # no run span: the round loop never ran
     [event] = tracer.spans("cache")
     assert event.counters == {"hit": 1, "miss": 0}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import color_graph, rmat_er
+from repro import Tracer, color_graph, rmat_er
 from repro.coloring.base import RESULT_SCHEMA_VERSION, ColoringResult
 
 
@@ -24,7 +24,7 @@ def test_to_dict_schema_v1_keys(g):
         d["gpu_time_us"] + d["cpu_time_us"] + d["transfer_time_us"]
     )
     assert d["num_kernel_launches"] == result.num_kernel_launches
-    assert d["observation"] is not None and d["observation"].tracer is not None
+    assert isinstance(d["observation"], Tracer)
     assert d["cache_hit"] is False
     assert d["shard_stats"] is None
     assert d["robustness"] is None
@@ -41,9 +41,10 @@ def test_typed_properties(g):
     assert plain.observation is None
     assert plain.cache_hit is False
     assert plain.shard_stats is None
-    observed = color_graph(g, "data-ldg", observe="rounds")
-    assert observed.observation is not None
-    assert observed.observation.recorder is not None
+    tracer = Tracer()
+    observed = color_graph(g, "data-ldg", observe=tracer)
+    assert observed.observation is tracer
+    assert observed.to_dict()["observation"] is tracer
 
 
 def test_migrated_extra_reads_raise(g):

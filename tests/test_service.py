@@ -119,10 +119,10 @@ def test_coalescing_in_trace_and_repeat_submission_hits_cache(g):
     assert stats["engine_runs"] == 1
     assert stats["cache_hits"] >= 1
     assert later.cache_hit is True
-    names = [s.name for s in svc.observation.tracer.roots]
+    names = [s.name for s in svc.observation.roots]
     assert names.count("service.batch") == 1
     coalesce_marks = [
-        s for s in svc.observation.tracer.roots
+        s for s in svc.observation.roots
         if s.name == "service.request" and s.counters.get("coalesced")
     ]
     assert coalesce_marks  # coalescing is observable in the trace

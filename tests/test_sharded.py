@@ -62,7 +62,7 @@ def test_makespan_timing_model(medium):
 
 def test_trace_contains_shard_and_resolution_spans(medium):
     result = color_sharded(medium, "data-ldg", num_shards=4, observe="trace")
-    tracer = result.observation.tracer
+    tracer = result.observation
     [root] = tracer.roots
     assert root.category == "run" and root.name.startswith("sharded:")
     assert root.counters["shards"] == 4

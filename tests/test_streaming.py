@@ -142,6 +142,6 @@ def test_color_sharded_stream_delegation(sample):
 
 def test_streamed_observe_trace(sample):
     result = color_streamed(sample, num_windows=3, observe="trace")
-    tracer = result.observation.tracer
+    tracer = result.observation
     names = [s.name for s in tracer.spans("run")]
     assert any(name.startswith("streamed:") for name in names)
