@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Kernel-layer wall-clock benchmark suite (micro + end-to-end).
+"""Kernel-layer wall-clock benchmark suite: C tier vs NumPy tier.
 
 The simulated-time gate (``regression_gate.py``) pins what the *model*
-reports; this suite tracks what the *host* pays to compute it — the
-repo's perf trajectory.  Two tiers:
+reports; this suite tracks what the *host* pays to compute it.  Every
+cell runs twice in the same process: on the C kernel tier (what every
+run uses when a compiler builds it) and on the pure-NumPy fallback,
+forced the way the tests force it.  Two kinds of cells:
 
 * **micro** — the shared kernel primitives in isolation
   (``expand_segments``, ``min_excluded_colors``, ``speculative_color_step``,
@@ -17,27 +19,32 @@ Profiles::
     python benchmarks/bench_kernels.py --full          # adds the 1M-vertex
                                                        # rmat-er end-to-end
     python benchmarks/bench_kernels.py --quick --check # gate vs committed
-                                                       # baseline (2x default)
+                                                       # record (2x default)
     python benchmarks/bench_kernels.py --quick --update current
-                                                       # refresh the baseline
+                                                       # refresh the record
 
 Results are stored in ``BENCH_kernels.json`` under a *record key* per
-profile: ``pre_pr`` (the kernels before the bitmask-mex/expansion-plan
-overhaul — measured once, never regenerated) and ``current`` (the tracked
-baseline; refresh with ``--update current`` on the machine class noted in
-the file's ``meta``).  ``--check`` compares wall times against the
-committed ``current`` record with a generous threshold (CI machines vary)
-and compares simulated time / iterations / colors exactly (those are
-functional, machine-independent).
+profile: ``pre_pr`` (the NumPy kernels before the bitmask-mex/expansion-plan
+overhaul — measured once, never regenerated) and ``current`` (both
+tiers, with the machine they were measured on).  ``--check`` compares
+functional fields (simulated time, iterations, colors) exactly — across
+the two tiers and against the record — and gates each cell's *speedup*
+(NumPy wall / C wall, both from this run) against the record's speedup
+divided by ``--threshold``.  A ratio measured in one run carries over
+between machines; an absolute wall from another machine does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
+import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.coloring.api import color_graph  # noqa: E402
 from repro.coloring import kernels  # noqa: E402
+from repro.compiledsim import runtime  # noqa: E402
 from repro.graph.generators.suite import load_graph  # noqa: E402
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_kernels.json"
@@ -67,6 +75,64 @@ FULL_CELLS = (
     ("rmat-er", "data-ldg"),
     ("rmat-er", "topo-ldg"),
 )
+
+#: Both tiers, C first.
+TIERS = ("cc", "numpy")
+
+#: Micro cells whose walls both stay under this are not ratio-gated:
+#: tens-of-microseconds cells swing multiples of themselves with
+#: page/cache state.
+MICRO_NOISE_FLOOR_S = 2.5e-4
+#: Micro cells with no C path: both tiers run the same NumPy code, so
+#: their speedup is noise around 1 and is reported, not gated.
+NO_C_PATH = ("expand_segments/full", "expand_segments/half")
+
+FUNCTIONAL = ("sim_us", "iterations", "num_colors")
+
+
+@contextmanager
+def forced_tier(tier: str):
+    """Run the block on ``tier``; ``"numpy"`` forces the fallback.
+
+    The same forcing the test suite's ``numpy_tier`` fixture applies:
+    with the resolved table set to none, every dispatch hook declines.
+    """
+    if tier == "cc":
+        if runtime.get_kernels()[0] != "cc":
+            raise RuntimeError("no C tier on this host")
+        yield
+        return
+    saved = runtime._resolved
+    runtime._resolved = ("numpy", None)
+    try:
+        yield
+    finally:
+        runtime._resolved = saved
+
+
+def available_tiers() -> tuple[str, ...]:
+    return TIERS if runtime.get_kernels()[0] == "cc" else ("numpy",)
+
+
+def machine() -> dict:
+    """The host a record was measured on."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    cc = shutil.which(os.environ.get("CC", "cc"))
+    compiler = None
+    if cc:
+        proc = subprocess.run([cc, "--version"], capture_output=True, text=True)
+        compiler = (proc.stdout.splitlines() or [None])[0]
+    return {
+        "cpu": cpu, "nproc": os.cpu_count(), "os": platform.system(),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "compiler": compiler,
+    }
 
 
 def _best_of(fn, repeat: int) -> float:
@@ -100,10 +166,14 @@ def run_micro(scale_div: int, repeat: int) -> dict:
         lambda: kernels.expand_segments(graph, half), repeat
     )
     out["mex/24colors"] = _best_of(
-        lambda: kernels.min_excluded_colors(seg, nbr_small, n), repeat
+        lambda: kernels.min_excluded_colors(
+            seg, nbr_small, n, assume_sorted=True
+        ), repeat
     )
     out["mex/200colors"] = _best_of(
-        lambda: kernels.min_excluded_colors(seg, nbr_wide, n), repeat
+        lambda: kernels.min_excluded_colors(
+            seg, nbr_wide, n, assume_sorted=True
+        ), repeat
     )
     out["color_step/full"] = _best_of(
         lambda: kernels.speculative_color_step(graph, zeros, all_ids), repeat
@@ -140,27 +210,47 @@ def run_end_to_end(cells, scale_div: int, repeat: int, backend=None) -> dict:
 
 
 def run_profile(profile: str, repeat: int, backend=None) -> dict:
-    if backend == "compiled":
-        # Pay the one-time kernel build/load outside the timed region —
-        # it is machine state, not per-run cost (workers warm up the
-        # same way via the pool initializer).
-        from repro import compiledsim
+    """Every cell of ``profile`` on each available tier, in this process.
 
-        compiledsim.warmup()
+    Returns ``{"scale_div", "machine", "micro": {key: {tier: wall,
+    "speedup"}}, "end_to_end": {key: {tier: wall, "speedup",
+    *functional}}}``, where ``speedup`` is NumPy wall / C wall.
+    Raises if the two tiers disagree on any functional field — the
+    byte-identity contract.
+    """
     if profile == "quick":
-        out = {
-            "scale_div": QUICK_SCALE_DIV,
-            "micro": run_micro(QUICK_SCALE_DIV, repeat),
-            "end_to_end": run_end_to_end(
-                QUICK_CELLS, QUICK_SCALE_DIV, repeat, backend
-            ),
-        }
+        micro_div, e2e_div, cells, e2e_repeat = (
+            QUICK_SCALE_DIV, QUICK_SCALE_DIV, QUICK_CELLS, repeat
+        )
     else:
-        out = {
-            "scale_div": FULL_SCALE_DIV,
-            "micro": run_micro(16, repeat),
-            "end_to_end": run_end_to_end(FULL_CELLS, FULL_SCALE_DIV, 1, backend),
-        }
+        micro_div, e2e_div, cells, e2e_repeat = 16, FULL_SCALE_DIV, FULL_CELLS, 1
+    runs = {}
+    for tier in available_tiers():
+        with forced_tier(tier):
+            runs[tier] = (
+                run_micro(micro_div, repeat),
+                run_end_to_end(cells, e2e_div, e2e_repeat, backend),
+            )
+    out = {"scale_div": e2e_div, "machine": machine(), "micro": {},
+           "end_to_end": {}}
+    for tier, (micro, e2e) in runs.items():
+        for key, wall in micro.items():
+            out["micro"].setdefault(key, {})[tier] = wall
+        for key, val in e2e.items():
+            row = out["end_to_end"].setdefault(
+                key, {f: val[f] for f in FUNCTIONAL}
+            )
+            drift = [f for f in FUNCTIONAL if row[f] != val[f]]
+            if drift:
+                raise AssertionError(
+                    f"{key}: tiers disagree on {drift} — byte-identity "
+                    f"contract broken"
+                )
+            row[tier] = val["wall_s"]
+    if len(runs) == len(TIERS):
+        for table in (out["micro"], out["end_to_end"]):
+            for row in table.values():
+                row["speedup"] = round(row["numpy"] / max(row["cc"], 1e-9), 3)
     if backend is not None:
         out["backend"] = backend
     return out
@@ -172,113 +262,84 @@ def load_baseline() -> dict:
     return {"meta": {}}
 
 
+def _record_speedup(record: dict, kind: str, key: str) -> float | None:
+    """The record's speedup for one cell (records without tiers have none)."""
+    entry = record.get(kind, {}).get(key)
+    return entry.get("speedup") if isinstance(entry, dict) else None
+
+
 def print_results(profile: str, results: dict, baseline: dict) -> None:
-    stored = baseline.get(profile, {})
-    for tier in ("micro", "end_to_end"):
-        print(f"[{profile}/{tier}]")
-        for key, val in results[tier].items():
-            wall = val if tier == "micro" else val["wall_s"]
-            line = f"  {key:<28} {wall * 1e3:>10.2f} ms"
-            for record_key in ("pre_pr", "current"):
-                if results.get("backend") is None and record_key == "current":
-                    continue  # a plain run *is* the current baseline's twin
-                ref = stored.get(record_key, {}).get(tier, {}).get(key)
-                if ref is not None:
-                    ref_wall = ref if tier == "micro" else ref["wall_s"]
-                    if wall > 0:
-                        line += f"   ({ref_wall / wall:5.2f}x vs {record_key})"
+    record = baseline.get(profile, {}).get("current", {})
+    pre_pr = baseline.get(profile, {}).get("pre_pr", {})
+    for kind in ("micro", "end_to_end"):
+        print(f"[{profile}/{kind}]   C tier      NumPy tier   speedup "
+              f"(record)")
+        for key, row in results[kind].items():
+            line = f"  {key:<24}"
+            for tier in TIERS:
+                line += (f" {row[tier] * 1e3:>9.2f} ms" if tier in row
+                         else f" {'-':>12}")
+            ref = _record_speedup(record, kind, key)
+            if "speedup" in row:
+                line += f"   {row['speedup']:5.2f}x"
+                line += f" ({ref:5.2f}x)" if ref is not None else ""
+            old = pre_pr.get(kind, {}).get(key)
+            old = old.get("wall_s") if isinstance(old, dict) else old
+            best = row.get("cc", row.get("numpy"))
+            if old is not None and best:
+                line += f"   {old / best:5.2f}x vs pre_pr"
             print(line)
 
 
 def check(profile: str, results: dict, baseline: dict, threshold: float) -> int:
-    """Gate the run against the committed ``current`` record."""
+    """Gate the run against the committed ``current`` record.
+
+    Functional fields must equal the record exactly.  Each cell's
+    speedup must reach the record's speedup divided by ``threshold``.
+    """
     record = baseline.get(profile, {}).get("current")
     if record is None:
         print(f"no committed '{profile}/current' record; run --update current")
         return 1
     failures = []
-    for key, val in results["end_to_end"].items():
+    for key, row in results["end_to_end"].items():
         ref = record["end_to_end"].get(key)
         if ref is None:
-            failures.append(f"{key}: no baseline entry")
+            failures.append(f"{key}: no record entry")
             continue
-        for exact in ("sim_us", "iterations", "num_colors"):
-            if val[exact] != ref[exact]:
+        for exact in FUNCTIONAL:
+            if row[exact] != ref[exact]:
                 failures.append(
-                    f"{key}: {exact} {ref[exact]} -> {val[exact]} (functional drift)"
+                    f"{key}: {exact} {ref[exact]} -> {row[exact]} (functional drift)"
                 )
-        if val["wall_s"] > ref["wall_s"] * threshold:
-            failures.append(
-                f"{key}: wall {ref['wall_s']:.3f}s -> {val['wall_s']:.3f}s "
-                f"(> {threshold:.1f}x)"
-            )
-    for key, wall in results["micro"].items():
-        ref = record["micro"].get(key)
-        # Absolute noise floor: cells in the tens-of-microseconds range
-        # (memo-hit paths) swing multiples of themselves with page/cache
-        # state, so the ratio gate only applies past a 0.25 ms delta.
-        if (
-            ref is not None
-            and wall > ref * threshold
-            and wall - ref > 2.5e-4
-        ):
-            failures.append(
-                f"micro {key}: {ref * 1e3:.2f}ms -> {wall * 1e3:.2f}ms "
-                f"(> {threshold:.1f}x)"
-            )
-    compiled_ref = baseline.get(profile, {}).get("compiled")
-    if compiled_ref is not None:
-        failures += _check_compiled(profile, record, compiled_ref, threshold)
+    for kind in ("micro", "end_to_end"):
+        for key, row in results[kind].items():
+            ref = _record_speedup(record, kind, key)
+            if ref is None or "speedup" not in row:
+                continue
+            if kind == "micro" and (
+                key in NO_C_PATH
+                or max(row["cc"], row["numpy"]) < MICRO_NOISE_FLOOR_S
+            ):
+                continue
+            if row["speedup"] < ref / threshold:
+                failures.append(
+                    f"{kind} {key}: C-tier speedup {ref:.2f}x -> "
+                    f"{row['speedup']:.2f}x (< record / {threshold:.1f})"
+                )
     if failures:
         print(f"kernel benchmark gate FAILED ({len(failures)}):")
         for f in failures:
             print(f"  {f}")
         return 1
     cells = len(results["end_to_end"])
-    legs = "" if compiled_ref is None else " (+ compiled backend leg)"
+    gated = "" if "speedup" in next(iter(results["end_to_end"].values()), {}) \
+        else " (no C tier on this host: speedups not gated)"
     print(
-        f"kernel benchmark gate passed: {cells} cells "
-        f"within {threshold:.1f}x of baseline{legs}"
+        f"kernel benchmark gate passed: {cells} cells functionally exact, "
+        f"speedups within {threshold:.1f}x of the record{gated}"
     )
     return 0
-
-
-def _check_compiled(
-    profile: str, current: dict, compiled_ref: dict, threshold: float
-) -> list:
-    """Gate the ``backend='compiled'`` leg.
-
-    Functional fields must equal the *current* (NumPy) record exactly —
-    that is the byte-identity contract the compiled backend ships under —
-    and wall time gates against the committed *compiled* record.
-    """
-    scale_div = compiled_ref.get(
-        "scale_div", QUICK_SCALE_DIV if profile == "quick" else FULL_SCALE_DIV
-    )
-    cells = tuple(
-        tuple(key.split("/", 1)) for key in compiled_ref["end_to_end"]
-    )
-    from repro import compiledsim
-
-    compiledsim.warmup()
-    run = run_end_to_end(cells, scale_div, 1, backend="compiled")
-    failures = []
-    for key, val in run.items():
-        truth = current["end_to_end"].get(key)
-        for exact in ("sim_us", "iterations", "num_colors"):
-            if truth is not None and val[exact] != truth[exact]:
-                failures.append(
-                    f"compiled {key}: {exact} {truth[exact]} -> {val[exact]} "
-                    f"(diverged from the NumPy baseline — byte-identity "
-                    f"contract broken)"
-                )
-        ref = compiled_ref["end_to_end"].get(key)
-        if ref is not None and val["wall_s"] > ref["wall_s"] * threshold:
-            failures.append(
-                f"compiled {key}: wall {ref['wall_s']:.3f}s -> "
-                f"{val['wall_s']:.3f}s (> {threshold:.1f}x)"
-            )
-    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,15 +352,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="best-of repetitions (default 3)")
     parser.add_argument("--update", metavar="KEY",
                         help="store results under this record key "
-                             "(e.g. 'current', 'pre_pr')")
+                             "(e.g. 'current')")
     parser.add_argument("--check", action="store_true",
                         help="gate against the committed 'current' record")
     parser.add_argument("--threshold", type=float, default=2.0,
-                        help="wall-clock regression threshold (default 2.0)")
+                        help="allowed speedup shortfall vs the record "
+                             "(default 2.0)")
     parser.add_argument("--backend", default=None,
                         choices=("gpusim", "cpusim", "compiled"),
                         help="run the end-to-end cells on this backend "
-                             "(e.g. 'compiled'; default: the library default)")
+                             "(default: the library default)")
     parser.add_argument("--out", type=Path,
                         help="also write this run's results to a JSON file")
     args = parser.parse_args(argv)
@@ -317,18 +379,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote results -> {args.out}")
 
     if args.update:
-        baseline.setdefault("meta", {})
-        baseline["meta"].setdefault(
-            "machine", f"{platform.machine()}/{platform.system()}"
-        )
-        baseline["meta"]["note"] = (
-            "wall-clock records; 'pre_pr' is the kernel layer before the "
-            "bitmask-mex/expansion-plan overhaul (historical, do not "
-            "regenerate), 'current' is the tracked NumPy baseline, "
-            "'compiled' is backend='compiled' on the same cells (same "
-            "repeat/scale methodology; functional fields must equal "
-            "'current' exactly — the byte-identity contract)"
-        )
+        baseline["meta"] = {
+            "note": (
+                "wall-clock records; 'pre_pr' is the NumPy kernel layer "
+                "before the bitmask-mex/expansion-plan overhaul (historical, "
+                "do not regenerate); 'current' holds both tiers' walls "
+                "measured in one run, their speedup (NumPy / C) and the "
+                "machine it ran on. --check gates the speedups, not the "
+                "walls."
+            ),
+        }
         baseline.setdefault(profile, {})[args.update] = results
         BASELINE_PATH.write_text(
             json.dumps(baseline, indent=1, sort_keys=True) + "\n",

@@ -31,6 +31,13 @@ __all__ = ["main", "resolve_graph"]
 #: Suffixes parsed as whitespace-separated edge lists.
 _EDGELIST_SUFFIXES = (".el", ".txt", ".edges", ".edgelist", ".tsv")
 
+BACKEND_CHOICES = ("gpusim", "cpusim", "compiled")
+BACKEND_HELP = (
+    "execution substrate for device schemes (default: gpusim); every run "
+    "uses the C kernel tier when a compiler builds it, and 'compiled' is "
+    "a deprecated alias of gpusim"
+)
+
 
 def _parse_faults(text):
     """Validate a ``--faults`` plan up front: bad grammar is a usage
@@ -259,20 +266,32 @@ def _cmd_color(args) -> int:
         print(f"wrote robustness report -> {path}")
     tracer = result.observation
     if tracer is not None:
-        print()
-        print(flame_summary(tracer))
-        rows = [
-            [r["iteration"], r["active"], r["conflicts"], round(r["time_us"], 1)]
-            for r in round_rows(tracer)
-        ]
-        if rows:
-            print()
-            print(format_table(["round", "active", "conflicts", "us"], rows,
-                               title="per-round trace:"))
+        _print_trace(tracer)
         if args.trace_out:
             path = write_chrome_trace(tracer, args.trace_out)
             print(f"\nwrote Chrome trace -> {path} (open in chrome://tracing)")
     return 0
+
+
+def _print_trace(tracer, by_graph: bool = False) -> None:
+    """Print a trace's flame summary and its per-round table.
+
+    ``by_graph`` splits the table by run, with a graph column: a batch
+    trace holds one run per graph, each counting rounds from 0.
+    """
+    print()
+    print(flame_summary(tracer))
+    headers = ["round", "active", "conflicts", "us"]
+    runs = tracer.runs() if by_graph else [tracer]
+    rows = [
+        ([run.counters.get("graph", "?")] if by_graph else [])
+        + [r["iteration"], r["active"], r["conflicts"], round(r["time_us"], 1)]
+        for run in runs for r in round_rows(run)
+    ]
+    if rows:
+        print()
+        print(format_table(["graph", *headers] if by_graph else headers, rows,
+                           title="per-round trace:"))
 
 
 def _cmd_trace(args) -> int:
@@ -433,11 +452,15 @@ def _cmd_batch(args) -> int:
             f"{f.attempts} attempts: {f.error}",
             file=sys.stderr,
         )
-    if args.trace_out:
-        tracer = next((r.observation for r in results if r), None)
-        if tracer is not None:
-            path = write_chrome_trace(tracer, args.trace_out)
-            print(f"wrote Chrome trace -> {path} (open in chrome://tracing)")
+    tracers = list({
+        id(r.observation): r.observation
+        for r in results if r and r.observation is not None
+    }.values())
+    for tracer in tracers:
+        _print_trace(tracer, by_graph=True)
+    if args.trace_out and tracers:
+        path = write_chrome_trace(tracers[0], args.trace_out)
+        print(f"wrote Chrome trace -> {path} (open in chrome://tracing)")
     return 1 if failures else 0
 
 
@@ -760,8 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="data-ldg", type=_method_arg, metavar="METHOD")
     p.add_argument("--block-size", type=int, default=128)
     p.add_argument(
-        "--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"),
-        help="execution substrate for device schemes (default: gpusim)",
+        "--backend", default="gpusim", choices=BACKEND_CHOICES,
+        help=BACKEND_HELP,
     )
     p.add_argument(
         "--observe", default=None, choices=("trace",),
@@ -856,7 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: <graph>-<method>-trace.json)")
     p.add_argument("--jsonl", default=None, help="also write a flat JSONL event log")
     p.add_argument("--block-size", type=int, default=128)
-    p.add_argument("--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"))
+    p.add_argument("--backend", default="gpusim", choices=BACKEND_CHOICES,
+                   help=BACKEND_HELP)
     p.add_argument("--top", type=int, default=None,
                    help="show only the N hottest rows in the flame summary")
     p.set_defaults(fn=_cmd_trace)
@@ -869,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True, nargs="+")
     p.add_argument("--method", default="data-ldg", type=_engine_method_arg, metavar="METHOD")
     p.add_argument("--block-size", type=int, default=128)
-    p.add_argument("--backend", default="gpusim", choices=("gpusim", "cpusim", "compiled"))
+    p.add_argument("--backend", default="gpusim", choices=BACKEND_CHOICES,
+                   help=BACKEND_HELP)
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard the batch across N worker processes "

@@ -153,10 +153,11 @@ def color_graph(
         only in tight benchmark loops that verify separately).
     backend:
         Execution substrate for device schemes: ``"gpusim"`` (default),
-        ``"cpusim"``, ``"compiled"`` (gpusim with C-compiled host
-        kernels — byte-identical results, faster wall-clock), or a
-        backend/device instance.  Host-side methods (``sequential``,
-        ``jp``, ...) reject it.
+        ``"cpusim"``, or a backend/device instance; ``"compiled"`` is a
+        deprecated alias of ``"gpusim"``.  Both run their hot loops on
+        the C kernel tier when a compiler builds it (results identical
+        either way).  Host-side methods (``sequential``, ``jp``, ...)
+        reject it.
     backend_opts:
         Constructor keywords for a string ``backend=`` spec, e.g.
         ``{"seed": 3}`` or ``{"cache_model": "hit_rate"}``.

@@ -399,14 +399,15 @@ def min_excluded_colors(
     exact sort formulation instead.  ``assume_sorted`` lets callers whose
     ``seg_ids`` are sorted by construction (CSR expansions) skip the
     bitmask path's runtime check — it matters in the wave loop, which
-    calls this once per 32-thread wave.
+    calls this once per 32-thread wave.  On the C tier, sorted streams
+    take one exact stamp pass instead, with no word budget.
     """
     if num_segments == 0:
         return np.zeros(0, dtype=COLOR_DTYPE)
     if assume_sorted:
-        # Compiled engine active: one stamp-array pass, exact for any
-        # color range (no word-budget overflow, hence no mex degradation
-        # chain). Declines (None) on dtype mismatch or inactive scope.
+        # C tier: one stamp-array pass, exact for any color range (no
+        # word-budget overflow, hence no mex degradation chain).
+        # Declines (None) on the NumPy tier or a dtype mismatch.
         compiled = _compiled.mex_sorted(seg_ids, nbr_colors, num_segments)
         if compiled is not None:
             return compiled

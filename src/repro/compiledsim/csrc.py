@@ -1,7 +1,7 @@
-"""C source for the compiled kernel tier (gcc + ctypes).
+"""C source for the C kernel tier (gcc + ctypes).
 
-One translation unit holding the hot loop bodies the dispatch layer can
-route to when the compiled engine is active:
+One translation unit holding the hot loop bodies the dispatch layer
+routes every run to when a compiler builds them:
 
 * ``mex_sorted`` — exact minimum-excluded-color over sorted CSR segments
   (stamp-array formulation; equivalent to the bitmask/sort NumPy paths).
@@ -37,7 +37,7 @@ and contiguity before handing out pointers.
 from __future__ import annotations
 
 #: Bump when the C source changes incompatibly; part of the .so cache key.
-SOURCE_VERSION = 3
+SOURCE_VERSION = 4
 
 KERNELS_C = r"""
 #include <stdint.h>
@@ -364,17 +364,19 @@ EXPORT int64_t pack_mask(const uint8_t* mask_arr, int64_t n, int64_t* out)
 /* Shared LSD radix over prebuilt bitkeys, carrying (key, perm) pairs
    so every count phase reads sequentially.  Digit widths are balanced
    over the key's total bit count rather than following component
-   boundaries: up to 19 bits per pass (512 Ki-entry count array) once
-   the stream is large enough to amortize the zero+prefix cost, so a
-   37-bit key sorts in two passes instead of three.  Returns 0 when the
-   sorted result ended in (key_buf, perm), 1 when in (tmp_key,
+   boundaries.  The widest digit grows with the stream, from 8 bits up
+   to 19 (a 512 Ki-entry count array), so a short stream never pays for
+   zeroing and prefix-summing a count array far longer than itself,
+   while a large one sorts a 37-bit key in two passes instead of three.
+   Any digit split yields the same stable permutation.  Returns 0 when
+   the sorted result ended in (key_buf, perm), 1 when in (tmp_key,
    tmp_perm). */
 static int lsd_pairs(
     int64_t* key_buf, int64_t* tmp_key, int64_t* perm, int64_t* tmp_perm,
     int64_t n, int64_t nbits, int64_t* count)
 {
     if (nbits <= 0 || n <= 0) return 0;
-    int64_t cap = 16;
+    int64_t cap = 8;
     while (cap < 19 && (n >> (cap - 2)) > 0) cap++;
     if (cap > nbits) cap = nbits;
     int64_t npass = (nbits + cap - 1) / cap;

@@ -1,44 +1,46 @@
-"""Call-site dispatch for the compiled engine.
+"""Call-site dispatch to the C kernel tier.
 
 The hot NumPy paths (kernels, trace builder, cache model) each ask this
 module "can you do this one?" at the top of their function.  Every hook
 returns a computed result **or ``None``** — ``None`` means "run your
-existing vectorized path", which keeps ``gpusim``/``cpusim`` behavior
-untouched byte-for-byte and lets the compiled tier decline anything it
-cannot prove exact (wrong dtype, non-contiguous input, unsorted
-stream).
+existing vectorized path".  A hook declines on the NumPy tier (no C
+compiler built the kernels) and whenever it cannot prove the C kernel
+exact for its inputs (wrong dtype, non-contiguous input, unsorted
+stream).  Both paths produce identical results, so which one runs
+changes host wall-clock only.
+
+Every ``gpusim`` and ``cpusim`` run uses the hooks: the kernel table is
+resolved once per process, lazily, by the first hook that needs it
+(:func:`repro.compiledsim.runtime.kernels`).
 
 Concurrency
 -----------
-Several runs may execute compiled hooks at once: ``Device.commit_pair``
-prices a round's two launches on a helper thread, and the service runs
-engine work on ``asyncio.to_thread`` workers.  State is scoped so that
-is safe:
+Several runs may execute hooks at once: ``Device.commit_pair`` prices a
+round's two launches on a helper thread, and the service runs engine
+work on ``asyncio.to_thread`` workers.  State is scoped so that is safe:
 
 - **Scratch is per hook call.**  Every hook checks an :class:`_Arena`
-  (grow-only buffers, hash-table epoch, mex generation) out of a
+  (scratch buffers, hash-table epoch, mex generation) out of a
   lock-guarded pool for the duration of the call and returns it after,
-  so two concurrent calls never share a buffer, while buffers are still
-  reused across calls — including across ``commit_pair``'s short-lived
-  helper threads, which a thread-local arena would re-allocate every
-  round.  Hooks therefore return arrays they own, never views into
-  scratch.
-- **The kernel table is process-global and reference-counted.**
-  :func:`scope` (which :class:`~repro.engine.backend.CompiledSimBackend`
-  wraps around each round loop) activates ``_K`` for the dynamic extent
-  of a run.  The helper threads a run spawns must see it, so it is not
-  thread-local.  ``_K`` only ever holds the single table
-  :func:`~repro.compiledsim.runtime.get_kernels` resolved for the
-  process, so every concurrent run sees the same tier; the last scope
-  out deactivates it.
+  so two concurrent calls never share a buffer, while small buffers are
+  still reused across calls — including across ``commit_pair``'s
+  helper thread.  Hooks therefore return arrays they own, never views
+  into scratch.
+- **The kernel table is immutable and process-wide.**  It is resolved
+  under a lock, once, and never changes afterwards, so every thread of
+  every run sees the same tier.
 
 Only the *functional* halves are replaced.  Pricing — the trace
 descriptors charged per access — is emitted by the same unchanged code
 either way, so simulated timings stay byte-identical.
+
+Array arguments reach C as raw addresses (``arr.ctypes.data``); the
+dtype and contiguity checks in each hook are what make that safe.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 
@@ -46,23 +48,30 @@ import numpy as np
 
 from . import runtime
 
-__all__ = ["scope", "active"]
+__all__ = ["active", "retained_bytes", "RETAIN_BYTES"]
 
-#: The resolved kernel table while a scope is active, else None.
-_K: dict | None = None
-#: Scopes open across all threads; guarded by ``_SCOPE_LOCK``.
-_OPEN_SCOPES = 0
-_SCOPE_LOCK = threading.Lock()
+#: Largest scratch buffer an idle arena keeps for the next call.  Reuse
+#: pays on the many short streams of small launches, where allocation is
+#: a visible share of a call; on a long stream the kernel's passes over
+#: the data dwarf one allocation, and keeping those buffers would pin
+#: peak-sized scratch in every process for its whole life.
+RETAIN_BYTES = 1 << 18
+
+
+def _p(a: np.ndarray) -> int:
+    return a.ctypes.data
 
 
 class _Arena:
     """Scratch owned by one hook call at a time (see the module docstring)."""
 
-    __slots__ = ("buffers", "epoch", "gen")
+    __slots__ = ("buffers", "held", "epoch", "gen", "gen_ptr")
 
     def __init__(self) -> None:
-        #: Grow-only scratch arrays keyed by role.
-        self.buffers: dict[str, np.ndarray] = {}
+        #: Retained scratch, role -> (array <= RETAIN_BYTES, its address).
+        self.buffers: dict[str, tuple[np.ndarray, int]] = {}
+        #: Larger scratch of the current call, freed when it returns.
+        self.held: list[np.ndarray] = []
         #: Monotone epoch for the hash tables' slot-validity stamps (a
         #: slot is live iff its gen equals the call's epoch — replaces a
         #: per-call memset).
@@ -71,46 +80,54 @@ class _Arena:
         #: on allocation, never need clearing; uint64 generations cannot
         #: realistically wrap).
         self.gen = np.ones(1, dtype=np.uint64)
+        self.gen_ptr = _p(self.gen)
 
     def next_epoch(self) -> int:
         self.epoch += 1
         return self.epoch
 
-    def scratch(self, name: str, size: int, dtype, zero: bool = False):
-        buf = self.buffers.get(name)
-        if buf is None or buf.shape[0] < size:
-            cap = max(size, 1024)
-            if buf is not None:
-                cap = max(cap, buf.shape[0] * 2)
-            buf = (np.zeros if zero else np.empty)(cap, dtype=dtype)
-            self.buffers[name] = buf
-        return buf
+    def _get(self, name: str, size: int, dtype, zero: bool):
+        entry = self.buffers.get(name)
+        if entry is not None and entry[0].shape[0] >= size:
+            return entry
+        buf = (np.zeros if zero else np.empty)(max(size, 256), dtype=dtype)
+        entry = (buf, _p(buf))
+        if buf.nbytes <= RETAIN_BYTES:
+            self.buffers[name] = entry
+        else:
+            self.held.append(buf)
+        return entry
 
-    def table(self, name: str, size: int, zero: bool = False) -> np.ndarray:
-        """Power-of-two hash-table buffer of exactly ``size`` entries.
+    def ptr(self, name: str, size: int, dtype=np.int64,
+            zero: bool = False) -> int:
+        """Address of a ``name`` buffer of at least ``size`` entries.
 
-        Epoch stamps make stale contents harmless (each call's epoch is
-        fresh), so a grown table never needs re-zeroing beyond its
-        initial allocation.
+        ``zero`` buffers start zeroed when allocated; later calls see
+        what earlier ones left (epoch- and generation-stamped users
+        need exactly that).  A buffer larger than :data:`RETAIN_BYTES`
+        lives only until this call returns the arena.  Caching the
+        address saves building a ctypes view of the array per call.
         """
-        buf = self.buffers.get(name)
-        if buf is None or buf.shape[0] < size:
-            buf = (np.zeros if zero else np.empty)(size, dtype=np.int64)
-            self.buffers[name] = buf
-        return buf[:size]
+        return self._get(name, size, dtype, zero)[1]
 
-    def stamp_for(self, max_run: int) -> np.ndarray:
-        """Generation-stamped mex scratch sized so truncation never bites.
-
-        Zeroed on allocation: a stamp equal to a live generation marks a
-        color forbidden, and generations start at 2.
-        """
-        return self.scratch("stamp", int(max_run) + 2, np.uint64, zero=True)
+    def array(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
+        """The ``name`` buffer itself (see :meth:`ptr`)."""
+        return self._get(name, size, dtype, False)[0]
 
 
 #: Idle arenas; grows to the peak number of concurrent hook calls.
 _ARENAS: list[_Arena] = []
 _ARENA_LOCK = threading.Lock()
+
+
+def _after_fork() -> None:
+    # A fork taken while another thread held the lock would leave the
+    # child's copy locked forever.
+    global _ARENA_LOCK
+    _ARENA_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork)
 
 
 @contextmanager
@@ -121,30 +138,22 @@ def _arena():
     try:
         yield arena
     finally:
+        arena.held.clear()
         with _ARENA_LOCK:
             _ARENAS.append(arena)
 
 
+def retained_bytes() -> int:
+    """Bytes of scratch the idle arenas keep between calls."""
+    with _ARENA_LOCK:
+        return sum(
+            buf.nbytes for arena in _ARENAS for buf, _ in arena.buffers.values()
+        )
+
+
 def active() -> bool:
-    """True while a compiled scope is active *and* a tier is loaded."""
-    return _K is not None
-
-
-@contextmanager
-def scope():
-    """Activate compiled dispatch for the dynamic extent of a run."""
-    global _K, _OPEN_SCOPES
-    kernels = runtime.get_kernels()[1]
-    with _SCOPE_LOCK:
-        _K = kernels
-        _OPEN_SCOPES += 1
-    try:
-        yield
-    finally:
-        with _SCOPE_LOCK:
-            _OPEN_SCOPES -= 1
-            if _OPEN_SCOPES == 0:
-                _K = None
+    """True when the process runs the C tier (resolving it on first use)."""
+    return runtime.kernels() is not None
 
 
 def _c64(a: np.ndarray) -> bool:
@@ -163,21 +172,49 @@ def _table_size(n: int) -> int:
     return size
 
 
+def _count_len(n: int, nbits: int) -> int:
+    """Count-array entries the C ``lsd_pairs`` radix needs for ``n`` keys.
+
+    Mirrors its digit choice: the widest digit grows from 8 bits with
+    the stream, up to 19, and never exceeds the key's width.
+    """
+    cap = 8
+    while cap < 19 and n >> (cap - 2):
+        cap += 1
+    return 1 << min(cap, max(nbits, 1))
+
+
+def _stamp(a: _Arena, length: int) -> int:
+    """Generation-stamped mex scratch sized so truncation never bites.
+
+    Zeroed on allocation: a stamp equal to a live generation marks a
+    color forbidden, and generations start at 2.
+    """
+    return a.ptr("stamp", length, np.uint64, zero=True)
+
+
+def _walk_tables(a: _Arena, max_line: int) -> tuple[int, int]:
+    """The hierarchy walk's last-seen table and its epoch stamps."""
+    size = int(max_line) + 1
+    return a.ptr("walk_tval", size), a.ptr("walk_tgen", size, zero=True)
+
+
 # ----------------------------------------------------------------------
 # coloring kernels
 # ----------------------------------------------------------------------
 def mex_sorted(seg_ids, nbr_colors, num_segments):
     """Sorted-segment mex; exact twin of the bitmask/sort NumPy paths."""
-    if _K is None:
+    K = runtime.kernels()
+    if K is None or not (_c64(seg_ids) and _c32(nbr_colors)):
         return None
-    if not (_c64(seg_ids) and _c32(nbr_colors)):
-        return None
-    max_run = _K["max_seg_run"](seg_ids)
+    n = seg_ids.shape[0]
+    max_run = K["max_seg_run"](_p(seg_ids), n)
     out = np.empty(int(num_segments), dtype=np.int32)
+    stamp_len = max_run + 2
     with _arena() as a:
-        _K["mex_sorted"](
-            seg_ids, nbr_colors, int(num_segments), out,
-            a.stamp_for(max_run), a.gen,
+        K["mex_sorted"](
+            _p(seg_ids), _p(nbr_colors), n, int(num_segments), _p(out),
+            _stamp(a, stamp_len), stamp_len, a.gen_ptr,
         )
     return out
 
@@ -190,19 +227,20 @@ def waved_color(active_ids, seg, nbr, colors, bounds, epos):
     Writes ``colors`` in place and returns the per-position ``out``
     array, or ``None`` to decline.
     """
-    if _K is None:
-        return None
-    if not (
+    K = runtime.kernels()
+    if K is None or not (
         _c64(active_ids) and _c64(seg) and _c32(nbr) and _c32(colors)
         and _c64(bounds) and _c64(epos)
     ):
         return None
-    max_run = _K["max_seg_run"](seg)
+    max_run = K["max_seg_run"](_p(seg), seg.shape[0])
     out = np.ones(active_ids.shape[0], dtype=np.int32)
+    stamp_len = max_run + 2
     with _arena() as a:
-        _K["waved_color"](
-            active_ids, seg, nbr, bounds, epos, colors, out,
-            a.stamp_for(max_run), a.gen,
+        K["waved_color"](
+            _p(active_ids), active_ids.shape[0], _p(seg), _p(nbr),
+            _p(bounds), _p(epos), bounds.shape[0] - 1, _p(colors), _p(out),
+            _stamp(a, stamp_len), stamp_len, a.gen_ptr,
         )
     return out
 
@@ -214,17 +252,21 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
     expansion).  Returns a uint8 mask of ``num_scope`` entries, or
     ``None`` to decline.
     """
-    if _K is None:
+    K = runtime.kernels()
+    if K is None or not (_c64(seg) and _c32(nbr) and _c32(colors)):
         return None
-    if not (_c64(seg) and _c32(nbr) and _c32(colors)):
+    if scope_ids is not None and not _c64(scope_ids):
         return None
     loser = np.zeros(int(num_scope), dtype=np.uint8)
     if scope_ids is None:
-        _K["detect_conflicts_full"](seg, nbr, colors, loser)
-        return loser
-    if not _c64(scope_ids):
-        return None
-    _K["detect_conflicts_subset"](seg, scope_ids, nbr, colors, loser)
+        K["detect_conflicts_full"](
+            _p(seg), _p(nbr), _p(colors), seg.shape[0], _p(loser)
+        )
+    else:
+        K["detect_conflicts_subset"](
+            _p(seg), _p(scope_ids), _p(nbr), _p(colors), seg.shape[0],
+            _p(loser),
+        )
     return loser
 
 
@@ -233,13 +275,14 @@ def detect_conflicts(seg, nbr, colors, scope_ids, num_scope):
 # ----------------------------------------------------------------------
 def pack_mask(mask):
     """``np.flatnonzero`` over a bool/uint8 mask, or ``None``."""
-    if _K is None:
+    K = runtime.kernels()
+    if K is None:
         return None
     if mask.dtype not in (np.bool_, np.uint8) or not mask.flags.c_contiguous:
         return None
     with _arena() as a:
-        buf = a.scratch("pack_out", mask.shape[0], np.int64)
-        k = _K["pack_mask"](mask.view(np.uint8), buf)
+        buf = a.array("pack_out", mask.shape[0])
+        k = K["pack_mask"](_p(mask), mask.shape[0], _p(buf))
         return buf[:k].copy()
 
 
@@ -254,12 +297,13 @@ def reuse_prev(line_ids):
     scatter and an elementwise compare, so emission order is free.
     ``None`` declines (unsupported dtype).
     """
-    if _K is None:
+    K = runtime.kernels()
+    if K is None:
         return None
-    if line_ids.dtype == np.int32 and line_ids.flags.c_contiguous:
-        fn = _K["reuse_prev_i32"]
-    elif line_ids.dtype == np.int64 and line_ids.flags.c_contiguous:
-        fn = _K["reuse_prev_i64"]
+    if _c32(line_ids):
+        fn = K["reuse_prev_i32"]
+    elif _c64(line_ids):
+        fn = K["reuse_prev_i64"]
     else:
         return None
     n = line_ids.shape[0]
@@ -268,9 +312,9 @@ def reuse_prev(line_ids):
     prev = np.empty(n, dtype=np.int64)
     with _arena() as a:
         k = fn(
-            line_ids, idx, prev, a.table("reuse_tkey", size),
-            a.table("reuse_tval", size),
-            a.table("reuse_tgen", size, zero=True), a.next_epoch(),
+            _p(line_ids), n, _p(idx), _p(prev), a.ptr("reuse_tkey", size),
+            a.ptr("reuse_tval", size), a.ptr("reuse_tgen", size, zero=True),
+            size, a.next_epoch(),
         )
     return idx[:k], prev[:k], n - k
 
@@ -281,9 +325,8 @@ def first_occurrences(key):
     Exactly ``np.unique(key, return_index=True)[1]`` — the contract of
     ``repro.gpusim.trace._first_occurrences``.  ``None`` declines.
     """
-    if _K is None:
-        return None
-    if not _c64(key):
+    K = runtime.kernels()
+    if K is None or not _c64(key):
         return None
     n = key.shape[0]
     if n == 0:
@@ -291,19 +334,42 @@ def first_occurrences(key):
     size = _table_size(n)
     out = np.empty(n, dtype=np.int64)
     with _arena() as a:
-        tkey = a.table("fo_tkey", size)
-        tgen = a.table("fo_tgen", size, zero=True)
-        ukey, upos, perm, tmp_perm, key_buf, tmp_key = (
-            a.scratch(role, n, np.int64) for role in (
+        tkey = a.ptr("fo_tkey", size)
+        tgen = a.ptr("fo_tgen", size, zero=True)
+        ukey, upos, *radix = (
+            a.ptr(role, n) for role in (
                 "fo_ukey", "fo_upos", "fo_perm", "fo_tmp_perm",
                 "fo_key_buf", "fo_tmp_key",
             )
         )
-        k = _K["first_occurrences"](
-            key, out, ukey, upos, tkey, tgen, a.next_epoch(), perm,
-            tmp_perm, key_buf, tmp_key,
+        k = K["first_occurrences"](
+            _p(key), n, _p(out), ukey, upos, tkey, tgen, size,
+            a.next_epoch(), *radix,
         )
     return out[:k].copy()
+
+
+def _radix_scratch(a: _Arena, n: int, nbits: int) -> list[int]:
+    """Addresses of ``lsd_pairs``' tmp_perm, key_buf, tmp_key and count."""
+    return [
+        a.ptr("lsd_tmp_perm", n), a.ptr("lsd_key_buf", n),
+        a.ptr("lsd_tmp_key", n), a.ptr("lsd_count", _count_len(n, nbits)),
+    ]
+
+
+def _step_arg(step_arr):
+    """``(address,)`` of a step column, ``(None,)`` for a constant one.
+
+    A broadcast scalar step (stride 0) drops out of the key: the kernels
+    take ``NULL`` for it.  ``None`` declines an unsupported column.
+    """
+    if step_arr.dtype != np.int64 or step_arr.ndim != 1:
+        return None
+    if step_arr.strides[0] == 0:
+        return (None,)
+    if not step_arr.flags.c_contiguous:
+        return None
+    return (_p(step_arr),)
 
 
 def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
@@ -315,36 +381,25 @@ def coalesce_first(warp, step_arr, line, max_warp, max_step, max_line):
     sort over the bitkey plus an adjacent-run scan selects the same
     indices in the same (key-sorted) order.  ``None`` declines.
     """
-    if _K is None:
+    K = runtime.kernels()
+    if K is None or not (_c32(warp) and _c64(line)):
         return None
-    if not (_c32(warp) and _c64(line)):
-        return None
-    if step_arr.dtype != np.int64 or step_arr.ndim != 1:
-        return None
-    const_step = step_arr.strides[0] == 0
-    if not const_step and not step_arr.flags.c_contiguous:
+    step = _step_arg(step_arr)
+    if step is None:
         return None
     n = line.shape[0]
     wb = int(max_warp - 1).bit_length()
-    sb = 0 if const_step else int(max_step - 1).bit_length()
+    sb = 0 if step[0] is None else int(max_step - 1).bit_length()
     lb = int(max_line - 1).bit_length()
     if wb + sb + lb > 62:
         return None
-    # The kernel picks balanced digit widths of at most 19 bits.
-    buckets = 1 << min(19, max(wb + sb + lb, 1))
+    sel = np.empty(n, dtype=np.int64)
     with _arena() as a:
-        sel, perm, tmp_perm, key_buf, tmp_key = (
-            a.scratch(role, n, np.int64) for role in (
-                "fo3_sel", "fo3_perm", "fo3_tmp_perm", "fo3_key_buf",
-                "fo3_tmp_key",
-            )
+        m = K["first_occ3"](
+            _p(warp), step[0], _p(line), n, wb, sb, lb, _p(sel),
+            a.ptr("lsd_perm", n), *_radix_scratch(a, n, wb + sb + lb),
         )
-        count = a.scratch("fo3_count", buckets, np.int64)
-        m = _K["first_occ3"](
-            warp, None if const_step else step_arr, line, wb, sb, lb,
-            sel, perm, tmp_perm, key_buf, tmp_key, count,
-        )
-        return sel[:m].copy()
+    return sel[:m].copy()
 
 
 def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
@@ -356,9 +411,8 @@ def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
     unsupported dtypes or when the components' widths overflow the
     bitkey.
     """
-    if _K is None:
-        return None
-    if not _c32(wave):
+    K = runtime.kernels()
+    if K is None or not _c32(wave):
         return None
     if warp.dtype not in (np.int32, np.int64) or not warp.flags.c_contiguous:
         return None
@@ -370,18 +424,16 @@ def issue_order3(wave, warp, step, max_wave, max_warp, max_step):
     sb = int(max_step - 1).bit_length()
     if vb + wb + sb > 62:
         return None
-    buckets = 1 << min(19, max(vb + wb + sb, 1))
     perm = np.empty(n, dtype=np.int64)
     if n == 0:
         return perm
+    wsuf = "w32" if warp.dtype == np.int32 else "w64"
+    ssuf = "s32" if step.dtype == np.int32 else "s64"
     with _arena() as a:
-        tmp_perm, key_buf, tmp_key = (
-            a.scratch(role, n, np.int64)
-            for role in ("o3_tmp_perm", "o3_key_buf", "o3_tmp_key")
+        K[f"order3_{wsuf}{ssuf}"](
+            _p(wave), _p(warp), _p(step), n, vb, wb, sb, _p(perm),
+            *_radix_scratch(a, n, vb + wb + sb),
         )
-        count = a.scratch("o3_count", buckets, np.int64)
-        _K["order3"](wave, warp, step, vb, wb, sb, perm, tmp_perm,
-                     key_buf, tmp_key, count)
     return perm
 
 
@@ -399,14 +451,11 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
     path.  Returns the emitted count, or ``None`` to decline (caller
     falls back to the unfused path).
     """
-    if _K is None:
+    K = runtime.kernels()
+    if K is None or not (_c32(warp) and _c32(sm) and _c32(wave) and _c64(line)):
         return None
-    if not (_c32(warp) and _c32(sm) and _c32(wave) and _c64(line)):
-        return None
-    if step_arr.dtype != np.int64 or step_arr.ndim != 1:
-        return None
-    const_step = step_arr.strides[0] == 0
-    if not const_step and not step_arr.flags.c_contiguous:
+    step = _step_arg(step_arr)
+    if step is None:
         return None
     # The arena stores narrow columns; anything wider than the trace
     # builder's own int32 thresholds declines into the legacy path.
@@ -414,25 +463,16 @@ def emit_coalesced(kind, warp, step_arr, line, sm, wave,
         return None
     n = line.shape[0]
     wb = int(max_warp - 1).bit_length()
-    sb = 0 if const_step else int(max_step - 1).bit_length()
+    sb = 0 if step[0] is None else int(max_step - 1).bit_length()
     lb = int(max_line - 1).bit_length()
     if wb + sb + lb > 62:
         return None
-    buckets = 1 << min(19, max(wb + sb + lb, 1))
-    out_kind, out_line, out_sm, out_warp, out_wave, out_step = out
+    cstep = int(step_arr[0]) if step[0] is None and n else 0
     with _arena() as a:
-        perm, tmp_perm, key_buf, tmp_key = (
-            a.scratch(role, n, np.int64) for role in (
-                "fo3_perm", "fo3_tmp_perm", "fo3_key_buf", "fo3_tmp_key",
-            )
-        )
-        count = a.scratch("fo3_count", buckets, np.int64)
-        return _K["emit_coalesced"](
-            warp, None if const_step else step_arr,
-            int(step_arr[0]) if const_step and n else 0,
-            line, sm, wave, wb, sb, lb, int(kind), int(seq_off),
-            perm, tmp_perm, key_buf, tmp_key, count,
-            out_kind, out_line, out_sm, out_warp, out_wave, out_step,
+        return K["emit_coalesced"](
+            _p(warp), step[0], cstep, _p(line), _p(sm), _p(wave), n,
+            wb, sb, lb, int(kind), int(seq_off), a.ptr("lsd_perm", n),
+            *_radix_scratch(a, n, wb + sb + lb), *map(_p, out),
         )
 
 
@@ -445,9 +485,8 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     returned on any violation (or unsupported dtypes), falling back to
     the radix sort.
     """
-    if _K is None:
-        return None
-    if not (_c32(wave) and _c32(warp) and _c32(step)):
+    K = runtime.kernels()
+    if K is None or not (_c32(wave) and _c32(warp) and _c32(step)):
         return None
     vb = int(max_wave - 1).bit_length()
     wb = int(max_warp - 1).bit_length()
@@ -460,12 +499,11 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
     if n == 0 or nseg <= 0:
         return perm[:0]
     with _arena() as a:
-        heap_key, heap_seg, pos = (
-            a.scratch(role, nseg, np.int64)
-            for role in ("mo_heap_key", "mo_heap_seg", "mo_pos")
+        rc = K["merge_order_i32"](
+            _p(wave), _p(warp), _p(step), _p(seg_off), nseg, wb, sb,
+            a.ptr("mo_heap_key", nseg), a.ptr("mo_heap_seg", nseg),
+            a.ptr("mo_pos", nseg), _p(perm),
         )
-        rc = _K["merge_order"](wave, warp, step, seg_off, wb, sb,
-                               heap_key, heap_seg, pos, perm)
     if rc != 0:
         return None
     return perm
@@ -474,6 +512,10 @@ def merge_order(wave, warp, step, seg_off, max_wave, max_warp, max_step):
 #: Largest line id the fused hierarchy walk will size a direct-address
 #: last-seen table for (two int64 arrays; 1 << 24 lines = 256 MiB cap).
 WALK_LINE_CAP = 1 << 24
+
+
+def _line_suffix(line) -> str:
+    return "i32" if line.dtype == np.int32 else "i64"
 
 
 def walk_supported(order, kind, line, sm):
@@ -485,12 +527,12 @@ def walk_supported(order, kind, line, sm):
     reference path's.
     """
     return (
-        _K is not None
-        and _c64(order)
+        _c64(order)
         and kind.dtype == np.uint8 and kind.flags.c_contiguous
         and _c32(sm)
         and line.dtype in (np.int32, np.int64)
         and line.flags.c_contiguous
+        and active()
     )
 
 
@@ -503,8 +545,10 @@ def walk_stats(kind, sm, line, num_sms, ldg_code, atomic_code):
     """
     ldg_per_sm = np.zeros(int(num_sms), dtype=np.int64)
     out3 = np.zeros(3, dtype=np.int64)
-    _K["walk_stats"](kind, sm, line, int(num_sms), int(ldg_code),
-                     int(atomic_code), ldg_per_sm, out3)
+    runtime.kernels()[f"walk_stats_{_line_suffix(line)}"](
+        _p(kind), _p(sm), _p(line), kind.shape[0], int(num_sms),
+        int(ldg_code), int(atomic_code), _p(ldg_per_sm), _p(out3),
+    )
     return ldg_per_sm, int(out3[0]), int(out3[1]), int(out3[2])
 
 
@@ -517,11 +561,11 @@ def walk_ro(order, kind, line, sm, ldg_code, rep_sm, rep_count, max_line):
     """
     gap = np.empty(int(rep_count), dtype=np.int64)
     with _arena() as a:
-        tval = a.scratch("walk_tval", int(max_line) + 1, np.int64)
-        tgen = a.scratch("walk_tgen", int(max_line) + 1, np.int64,
-                         zero=True)
-        k = _K["walk_ro"](order, kind, line, sm, int(ldg_code),
-                          int(rep_sm), gap, tval, tgen, a.next_epoch())
+        k = runtime.kernels()[f"walk_ro_{_line_suffix(line)}"](
+            _p(order), _p(kind), _p(line), _p(sm), order.shape[0],
+            int(ldg_code), int(rep_sm), _p(gap), *_walk_tables(a, max_line),
+            a.next_epoch(),
+        )
     return gap[:k]
 
 
@@ -537,21 +581,18 @@ def walk_l2(order, kind, line, sm, ldg_code, store_code, rep_sm, rep_hits,
     """
     n = order.shape[0]
     out2 = np.zeros(2, dtype=np.int64)
-    if rep_hits.dtype == np.bool_:
-        rep_hits = rep_hits.view(np.uint8)
+    # Written straight into arrays the caller keeps: no copy on return.
+    l2_gap = np.empty(n, dtype=np.int64)
+    l2_stall = np.empty(n, dtype=np.uint8)
     with _arena() as a:
-        tval = a.scratch("walk_tval", int(max_line) + 1, np.int64)
-        tgen = a.scratch("walk_tgen", int(max_line) + 1, np.int64,
-                         zero=True)
-        l2_gap = a.scratch("walk_l2_gap", n, np.int64)
-        l2_stall = a.scratch("walk_l2_stall", n, np.uint8)
-        _K["walk_l2"](order, kind, line, sm, int(ldg_code),
-                      int(store_code), int(rep_sm), rep_hits, draws,
-                      float(rate), l2_gap, l2_stall, tval, tgen,
-                      a.next_epoch(), out2)
-        l2n = int(out2[0])
-        # Copies: the arena goes back to the pool on exit.
-        return l2_gap[:l2n].copy(), l2_stall[:l2n].copy(), int(out2[1])
+        runtime.kernels()[f"walk_l2_{_line_suffix(line)}"](
+            _p(order), _p(kind), _p(line), _p(sm), n, int(ldg_code),
+            int(store_code), int(rep_sm), _p(rep_hits), _p(draws),
+            float(rate), _p(l2_gap), _p(l2_stall),
+            *_walk_tables(a, max_line), a.next_epoch(), _p(out2),
+        )
+    l2n = int(out2[0])
+    return l2_gap[:l2n], l2_stall[:l2n], int(out2[1])
 
 
 def issue_order(key):
@@ -560,27 +601,22 @@ def issue_order(key):
     Keys must be non-negative int64 (the trace builder guarantees this —
     it falls back to lexsort before keys could reach 2**62).
     """
-    if _K is None:
-        return None
-    if not _c64(key):
+    K = runtime.kernels()
+    if K is None or not _c64(key):
         return None
     n = key.shape[0]
     perm = np.empty(n, dtype=np.int64)
     if n == 0:
         return perm
     with _arena() as a:
-        tmp_perm, key_buf, tmp_key = (
-            a.scratch(role, n, np.int64)
-            for role in ("io_tmp_perm", "io_key_buf", "io_tmp_key")
+        K["issue_order"](
+            _p(key), n, _p(perm), a.ptr("io_tmp_perm", n),
+            a.ptr("io_key_buf", n), a.ptr("io_tmp_key", n),
         )
-        _K["issue_order"](key, perm, tmp_perm, key_buf, tmp_key)
     return perm
 
 
 def _reset_for_tests() -> None:
-    """Drop scratch arenas and deactivate (test isolation)."""
-    global _K, _OPEN_SCOPES
-    with _SCOPE_LOCK:
-        _K, _OPEN_SCOPES = None, 0
+    """Drop the idle scratch arenas (test isolation)."""
     with _ARENA_LOCK:
         _ARENAS.clear()

@@ -20,7 +20,6 @@ See the "Execution engine" section of docs/API.md for the plug-in guide.
 from .backend import (
     BACKENDS,
     Backend,
-    CompiledSimBackend,
     CpuSimBackend,
     GpuSimBackend,
     Mark,
@@ -43,7 +42,6 @@ __all__ = [
     "AuditError",
     "BACKENDS",
     "Backend",
-    "CompiledSimBackend",
     "ConvergenceError",
     "InvariantViolation",
     "CpuSimBackend",

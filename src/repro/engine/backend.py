@@ -39,9 +39,9 @@ __all__ = [
     "Backend",
     "GpuSimBackend",
     "CpuSimBackend",
-    "CompiledSimBackend",
     "resolve_backend",
     "BACKENDS",
+    "BACKEND_ALIASES",
 ]
 
 _ALIGNMENT = 256  # matches gpusim.device alignment
@@ -406,65 +406,23 @@ class CpuSimBackend:
         )
 
 
-class CompiledSimBackend(GpuSimBackend):
-    """``gpusim`` with the hot functional loops routed through C kernels.
-
-    Identical device model, identical pricing, identical results — the
-    difference is *host* wall-clock: while a run is active, the kernel
-    and pricing modules route their hot loop bodies (mex, the fused wave
-    loop, conflict detection, worklist compaction, reuse-distance and
-    trace-coalescing scans) through :mod:`repro.compiledsim`, which uses
-    a ctypes-bound C build when a compiler builds it and otherwise falls
-    back to the unchanged NumPy paths (one-time warning).
-
-    Parameters are :class:`GpuSimBackend`'s.  :attr:`tier` names the
-    resolved tier, ``'cc'`` or ``'numpy'``; it is the same for every
-    run in the process.
-    """
-
-    name = "compiled"
-
-    def __init__(
-        self,
-        device: Device | None = None,
-        *,
-        config: DeviceConfig | None = None,
-        cache_model: str = "reuse_distance",
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            device, config=config, cache_model=cache_model, seed=seed
-        )
-        from .. import compiledsim
-
-        # Resolve (and warn, if falling back) at construction, not mid-run.
-        self.tier = compiledsim.get_kernels()[0]
-
-    def functional_scope(self):
-        """Context manager activating compiled dispatch for one run.
-
-        The round loop wraps each run's whole dynamic extent in this, so
-        every kernel and pricing call the run makes sees the kernel
-        table.
-        """
-        from ..compiledsim import dispatch
-
-        return dispatch.scope()
-
-
 #: Registry of constructible backends, keyed by their ``name``.
 BACKENDS: dict[str, type] = {
     GpuSimBackend.name: GpuSimBackend,
     CpuSimBackend.name: CpuSimBackend,
-    CompiledSimBackend.name: CompiledSimBackend,
 }
+
+#: Accepted backend names that mean another backend.  ``"compiled"``
+#: once opted into the C kernel tier, which every run now uses.
+BACKEND_ALIASES: dict[str, str] = {"compiled": GpuSimBackend.name}
 
 
 def resolve_backend(spec, **kwargs):
     """Turn a backend spec into a backend instance.
 
     Accepts a backend instance (returned as-is), a name from
-    :data:`BACKENDS` (constructed with ``**kwargs``), or a raw
+    :data:`BACKENDS` or :data:`BACKEND_ALIASES` (constructed with
+    ``**kwargs``), or a raw
     :class:`~repro.gpusim.device.Device` (wrapped in a
     :class:`GpuSimBackend` — the legacy ``device=`` path).
     """
@@ -472,11 +430,13 @@ def resolve_backend(spec, **kwargs):
         return GpuSimBackend(**kwargs)
     if isinstance(spec, str):
         try:
-            return BACKENDS[spec](**kwargs)
+            cls = BACKENDS[BACKEND_ALIASES.get(spec, spec)]
         except KeyError:
             raise ValueError(
-                f"unknown backend {spec!r}; choose from {sorted(BACKENDS)}"
+                f"unknown backend {spec!r}; choose from "
+                f"{sorted([*BACKENDS, *BACKEND_ALIASES])}"
             ) from None
+        return cls(**kwargs)
     if isinstance(spec, Device):
         return GpuSimBackend(spec, **kwargs)
     if isinstance(spec, Backend):

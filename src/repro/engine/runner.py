@@ -148,19 +148,7 @@ class RoundLoop:
     control: object | None = None  # resilience.RunControl, duck-typed
 
     def run(self, ex: Backend, graph, recipe: SchemeRecipe, bufs):
-        """Execute ``recipe`` on ``graph``; returns a ``ColoringResult``.
-
-        Backends exposing ``functional_scope()`` (the compiled backend)
-        get it entered around the whole run, so every kernel *and*
-        pricing call in the dynamic extent sees the engine flag.
-        """
-        scope = getattr(ex, "functional_scope", None)
-        if scope is None:
-            return self._run(ex, graph, recipe, bufs)
-        with scope():
-            return self._run(ex, graph, recipe, bufs)
-
-    def _run(self, ex: Backend, graph, recipe: SchemeRecipe, bufs):
+        """Execute ``recipe`` on ``graph``; returns a ``ColoringResult``."""
         from ..coloring.base import ColoringResult
 
         tracer = self.tracer

@@ -130,7 +130,7 @@ def reuse_distance_hits(line_ids: np.ndarray, capacity_lines: int) -> np.ndarray
 
     scanned = _compiled.reuse_prev(line_ids)
     if scanned is not None:
-        # Compiled engine: one O(n) last-seen hash scan. The (idx, prev)
+        # C tier: one O(n) last-seen hash scan. The (idx, prev)
         # pair set is exactly the argsort formulation's — the uses below
         # are a scatter and an elementwise gap test, both order-free.
         idx, prev, num_unique = scanned

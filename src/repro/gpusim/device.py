@@ -32,6 +32,18 @@ __all__ = ["DeviceArray", "TransferEvent", "Timeline", "Device"]
 
 _ALIGNMENT = 256  # CUDA malloc alignment
 
+#: Recorded transactions (both launches together) from which
+#: ``Device.commit_pair`` prices the second launch on a helper thread.
+#: Below it the thread hand-off and GIL contention cost more than the
+#: overlap saves.  On a 2-core host, thermal2/1024 streamed (pairs of
+#: under 1.5k transactions) took 100 ms serial vs 166 ms threaded,
+#: thermal2/16 streamed (up to ~100k) broke even, and rmat-er/8 (~8.9M)
+#: took 811 ms serial vs 688 ms threaded.
+OVERLAP_MIN_TRANSACTIONS = 1 << 18
+
+#: Overlap needs a second core; read once (``os.cpu_count`` is not free).
+_MULTICORE = (os.cpu_count() or 1) > 1
+
 
 @dataclass
 class DeviceArray:
@@ -294,16 +306,21 @@ class Device:
         pure function of (trace, config, seed), seeds are assigned in call
         order from the launch counter, and the timeline/tracer events are
         appended in order after both prices land.  The host-side win is
-        overlapping the two sort/scan-heavy pricing passes (NumPy releases
-        the GIL in the kernels that dominate them).
+        overlapping the two sort/scan-heavy pricing passes (the C kernels
+        and NumPy release the GIL in the loops that dominate them).  A pair
+        shorter than :data:`OVERLAP_MIN_TRANSACTIONS` is priced serially.
         """
         seed0 = self.seed + self._launch_counter
-        if (os.cpu_count() or 1) > 1:
+        if (
+            first.num_transactions + second.num_transactions
+            >= OVERLAP_MIN_TRANSACTIONS
+            and _MULTICORE
+        ):
             with ThreadPoolExecutor(max_workers=1) as pool:
                 future = pool.submit(self._price, second, seed0 + 1)
                 profile_a = self._price(first, seed0)
                 profile_b = future.result()
-        else:  # single-core host: overlap buys nothing, skip the thread hop
+        else:  # overlap would buy nothing: skip the thread hop
             profile_a = self._price(first, seed0)
             profile_b = self._price(second, seed0 + 1)
         self._launch_counter += 2

@@ -213,7 +213,7 @@ def _reuse_gap_hits(gap: np.ndarray, capacity_lines: int) -> np.ndarray:
 def _compiled_hierarchy(
     mem, device: DeviceConfig, rng: np.random.Generator
 ) -> tuple[MemoryStats, float] | None:
-    """Fused compiled-tier hierarchy walk; ``None`` declines.
+    """Fused C-tier hierarchy walk; ``None`` declines.
 
     Two C passes over the transaction stream in issue order replace the
     vectorized path's permutation gathers, mask algebra, substream

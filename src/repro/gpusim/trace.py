@@ -52,7 +52,7 @@ def _first_occurrences(key: np.ndarray) -> np.ndarray:
         return np.zeros(1, dtype=np.intp)
     compiled = _compiled.first_occurrences(key)
     if compiled is not None:
-        # Compiled engine: hash first-touch scan + radix sort of the
+        # C tier: hash first-touch scan + radix sort of the
         # unique subset — same key-sorted first indices, O(n) not
         # O(n log n).
         return compiled
@@ -143,7 +143,7 @@ class MemoryTrace:
             if merged is not None:
                 return merged
         if max_wave * max_warp * max_step < (1 << 62):
-            # Compiled engine: 3-key LSD counting sort — three passes
+            # C tier: 3-key LSD counting sort — three passes
             # regardless of key width, the identical permutation to the
             # packed-key stable argsort below.
             compiled3 = _compiled.issue_order3(
@@ -302,6 +302,13 @@ class TraceBuilder:
         self._chunks.append(("a", start, self._arena_len))
         self._seg_ends.append(self._arena_len)
 
+    @property
+    def num_transactions(self) -> int:
+        """Coalesced memory transactions recorded so far."""
+        return self._arena_len + sum(
+            len(c[1]) for c in self._chunks if c[0] == "s"
+        )
+
     def set_residency(self, blocks_per_sm: int) -> None:
         """Record occupancy so wave boundaries match resident block count."""
         self._blocks_per_wave = max(1, blocks_per_sm) * self.device.num_sms
@@ -411,7 +418,7 @@ class TraceBuilder:
         max_step = int(step_arr.max()) + 1
         max_warp = int(warp.max()) + 1
         if max_warp * max_step * max_line < (1 << 62):
-            # Compiled engine, fully fused: dedup + narrowing gathers
+            # C tier, fully fused: dedup + narrowing gathers
             # straight into the arena columns (same emitted order and
             # values as the unfused path below).
             if _compiled.active():
@@ -432,7 +439,7 @@ class TraceBuilder:
                         )
                     self._seq += 1
                     return
-            # Compiled engine: component-wise radix unique — the same
+            # C tier: component-wise radix unique — the same
             # selection the packed-key path below produces.
             sel = _compiled.coalesce_first(
                 warp, step_arr, line, max_warp, max_step, max_line

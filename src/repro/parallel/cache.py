@@ -34,6 +34,7 @@ import numpy as np
 
 from ..coloring.base import COLOR_DTYPE, ColoringResult
 from ..coloring.registry import ENGINE_KEYWORDS, SCHEMES
+from ..engine.backend import BACKEND_ALIASES
 from ..faults.runtime import note_degradation
 
 __all__ = [
@@ -43,11 +44,6 @@ __all__ = [
     "resolve_cache",
     "backend_fingerprint",
 ]
-
-#: Backends whose *results* are byte-identical to another's by contract
-#: (the golden equivalence suite gates this), mapped to the canonical
-#: name: their runs share cache entries.
-_RESULT_IDENTICAL = {"compiled": "gpusim"}
 
 
 def backend_fingerprint(spec, backend_opts: dict | None = None) -> str:
@@ -61,12 +57,10 @@ def backend_fingerprint(spec, backend_opts: dict | None = None) -> str:
         spec = "gpusim"
     if isinstance(spec, str):
         opts = dict(backend_opts or {})
-        if spec in _RESULT_IDENTICAL:
-            spec = _RESULT_IDENTICAL[spec]
+        spec = BACKEND_ALIASES.get(spec, spec)
         return f"{spec}:{json.dumps(opts, sort_keys=True, default=repr)}"
     # Instances: name plus whatever configuration identifies the preset.
     name = getattr(spec, "name", type(spec).__name__)
-    name = _RESULT_IDENTICAL.get(name, name)
     device = getattr(spec, "device", spec)
     config = getattr(device, "config", None)
     cores = getattr(getattr(spec, "cpu", None), "cores", None)

@@ -60,6 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
+from .. import compiledsim
 from ..faults import (
     FaultInjected,
     FaultInjector,
@@ -236,16 +237,10 @@ def _worker_init(backend, backend_opts: dict) -> None:
         graphs=_GraphLRU(_HEAP_GRAPH_CACHE),
         attached=_GraphLRU(_ATTACHED_GRAPH_CACHE),
     )
-    if getattr(backend, "name", backend) == "compiled":
-        # Pay the one-time kernel build/load during pool spin-up instead
-        # of inside the first job; the disk-cached build makes this a
-        # few ms for every worker after the first ever.
-        try:
-            from .. import compiledsim
-
-            compiledsim.warmup()
-        except Exception:
-            pass  # tier probing degrades on its own; jobs still run
+    # Pay the one-time kernel build/load during pool spin-up instead of
+    # inside the first job; the disk-cached build makes this a few ms
+    # for every worker after the first ever.
+    compiledsim.warmup()
 
 
 def _resolve_job_graph(job: ColorJob):

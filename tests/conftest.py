@@ -112,3 +112,31 @@ GRAPH_FIXTURES = [
 def any_graph(request):
     """Indirect fixture: parametrize over GRAPH_FIXTURES by name."""
     return request.getfixturevalue(request.param)
+
+
+@pytest.fixture
+def numpy_tier(monkeypatch):
+    """Run the test on the pure-NumPy tier, as on a host with no compiler.
+
+    Every dispatch hook then declines and each call site takes its
+    vectorized path.  Forked pool workers inherit the forced tier.
+    """
+    from repro.compiledsim import runtime
+
+    monkeypatch.setattr(runtime, "_resolved", ("numpy", None))
+
+
+@pytest.fixture
+def cc_tier():
+    """Run the test on the C tier; skip on a host that cannot build it."""
+    from repro.compiledsim import runtime
+
+    if runtime.get_kernels()[0] != "cc":
+        pytest.skip("no C tier on this host")
+
+
+@pytest.fixture(params=["cc", "numpy"])
+def tier(request):
+    """Run the test once per kernel tier (see ``cc_tier``/``numpy_tier``)."""
+    request.getfixturevalue(f"{request.param}_tier")
+    return request.param

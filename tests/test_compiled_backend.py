@@ -1,14 +1,14 @@
-"""backend='compiled': byte-identity, tier fallback, RunConfig, cache keys.
+"""The C kernel tier: byte-identity, fallback, RunConfig, cache keys.
 
-The compiled backend's contract is *wall-clock only*: colors, iteration
-counts, and every simulated timing figure must be byte-identical to the
-``gpusim`` reference whether the C kernels or the NumPy fallback end up
-executing the loop bodies.  These tests hold it to
-that, and cover the unified ``config=`` surface the backend ships with.
+Every ``gpusim``/``cpusim`` run uses the C tier when a compiler builds
+it, and the pure-NumPy paths otherwise.  The tier's contract is
+*wall-clock only*: colors, iteration counts, and every simulated timing
+figure must be byte-identical to the NumPy reference.  These tests hold
+it to that, keep the ``backend="compiled"`` alias working, and cover the
+unified ``config=`` surface.
 """
 
 import dataclasses
-import os
 import shutil
 import sys
 import time
@@ -30,7 +30,11 @@ from repro import (
     rmat_er,
 )
 from repro.compiledsim import runtime
-from repro.engine.backend import BACKENDS, CompiledSimBackend, resolve_backend
+from repro.engine.backend import (
+    BACKEND_ALIASES,
+    GpuSimBackend,
+    resolve_backend,
+)
 from repro.engine.config import normalize_config
 from repro.parallel import color_streamed
 from repro.parallel.cache import backend_fingerprint, job_cache_key
@@ -51,6 +55,14 @@ def small():
     return rmat_er(scale=8, seed=3)
 
 
+@contextmanager
+def _numpy_reference():
+    """Compute inside this block on the NumPy tier (the reference)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "_resolved", ("numpy", None))
+        yield
+
+
 def _assert_identical(ref, res):
     assert np.array_equal(ref.colors, res.colors)
     for field in TIMING_FIELDS:
@@ -59,7 +71,7 @@ def _assert_identical(ref, res):
 
 
 # ----------------------------------------------------------------------
-# byte-identity vs the gpusim reference
+# byte-identity: the default (C-tier) run vs the NumPy reference
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -68,7 +80,8 @@ def _assert_identical(ref, res):
      "3step-gm", "data-lb", "data-ldg-lb"],
 )
 def test_compiled_matches_gpusim_exactly(medium, method):
-    ref = color_graph(medium, method)
+    with _numpy_reference():
+        ref = color_graph(medium, method)
     res = color_graph(medium, method, backend="compiled")
     _assert_identical(ref, res)
 
@@ -83,32 +96,35 @@ def test_compiled_on_degenerate_graphs(method):
         from_edges([0, 1, 2], [1, 2, 0], num_vertices=64, name="sparse"),
     ]
     for graph in cases:
-        ref = color_graph(graph, method)
-        res = color_graph(graph, method, backend="compiled")
+        with _numpy_reference():
+            ref = color_graph(graph, method)
+        res = color_graph(graph, method)
         _assert_identical(ref, res)
         assert res.colors.dtype == ref.colors.dtype
 
 
 def test_compiled_backend_instance_and_registry(medium):
-    assert "compiled" in BACKENDS
+    # "compiled" is an alias: it resolves to the gpusim backend.
+    assert BACKEND_ALIASES["compiled"] == "gpusim"
     backend = resolve_backend("compiled")
-    assert isinstance(backend, CompiledSimBackend)
-    assert backend.name == "compiled"
-    assert backend.tier in ("cc", "numpy")
+    assert type(backend) is GpuSimBackend
+    assert backend.name == "gpusim"
     res = color_graph(medium, "data-ldg", backend=backend)
     _assert_identical(color_graph(medium, "data-ldg"), res)
+    with pytest.raises(ValueError, match="'compiled'"):
+        resolve_backend("compiler")
 
 
 def test_compiled_sharded_and_streamed_match(medium):
-    ref = color_sharded(medium, "data-ldg", num_shards=3)
+    with _numpy_reference():
+        ref = color_sharded(medium, "data-ldg", num_shards=3)
+        ref_s = color_streamed(medium, "data-ldg", num_windows=3)
     res = color_sharded(medium, "data-ldg", num_shards=3, backend="compiled")
     assert np.array_equal(ref.colors, res.colors)
     assert ref.iterations == res.iterations
+    assert ref.total_time_us == res.total_time_us
 
-    ref_s = color_streamed(medium, "data-ldg", num_windows=3)
-    res_s = color_streamed(
-        medium, "data-ldg", num_windows=3, backend="compiled"
-    )
+    res_s = color_streamed(medium, "data-ldg", num_windows=3)
     assert np.array_equal(ref_s.colors, res_s.colors)
 
 
@@ -117,7 +133,8 @@ def test_compiled_color_many_parallel_matches(small):
     # context (warm device-cache state prices the second graph slightly
     # differently), so like-for-like is workers=2 vs workers=2.
     graphs = [small, rmat_er(scale=8, seed=5)]
-    reference = color_many(graphs, "data-ldg", workers=2)
+    with _numpy_reference():  # forked workers inherit the forced tier
+        reference = color_many(graphs, "data-ldg", workers=2)
     compiled = color_many(graphs, "data-ldg", backend="compiled", workers=2)
     for ref, res in zip(reference, compiled):
         assert np.array_equal(ref.colors, res.colors)
@@ -128,6 +145,12 @@ def test_compiled_color_many_parallel_matches(small):
 # tier resolution and the NumPy fallback
 # ----------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def medium_ref(medium):
+    with _numpy_reference():
+        return color_graph(medium, "data-ldg")
+
+
 @pytest.fixture
 def no_compiler(monkeypatch):
     """Resolve the tier as on a machine where the C build fails."""
@@ -137,16 +160,26 @@ def no_compiler(monkeypatch):
     runtime._reset_for_tests()
 
 
-def test_fallback_warns_once_with_identical_results(medium, no_compiler):
-    ref = color_graph(medium, "data-ldg")
+def test_fallback_warns_once_with_identical_results(medium, medium_ref,
+                                                    no_compiler):
     with pytest.warns(RuntimeWarning, match="falling back to the pure-NumPy"):
-        res = color_graph(medium, "data-ldg", backend="compiled")
-    _assert_identical(ref, res)
+        res = color_graph(medium, "data-ldg")
+    _assert_identical(medium_ref, res)
     # One-time: a second run under the same fallback stays silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res2 = color_graph(medium, "data-ldg", backend="compiled")
-    _assert_identical(ref, res2)
+    _assert_identical(medium_ref, res2)
+
+
+def test_tier_resolves_lazily_not_at_import(no_compiler):
+    # Importing and constructing backends builds nothing; the first hook
+    # call resolves the tier.
+    resolve_backend("gpusim")
+    assert runtime.current_tier() is None
+    with pytest.warns(RuntimeWarning, match="could not be built"):
+        assert not compiledsim.active()
+    assert runtime.current_tier() == "numpy"
 
 
 def test_disabled_tiers_resolve_to_numpy(no_compiler):
@@ -154,13 +187,30 @@ def test_disabled_tiers_resolve_to_numpy(no_compiler):
         tier = compiledsim.warmup()
     assert tier == "numpy"
     assert runtime.current_tier() == "numpy"
-    assert CompiledSimBackend().tier == "numpy"
+    assert runtime.kernels() is None
+
+
+def test_failed_build_falls_back_to_numpy(monkeypatch):
+    # Any build or load failure (here an unwritable cache directory)
+    # degrades to the NumPy tier instead of failing every run.
+    from repro.compiledsim import cc
+
+    def unwritable():
+        raise PermissionError("read-only cache directory")
+
+    runtime._reset_for_tests()
+    monkeypatch.setattr(cc, "load_kernels", unwritable)
+    try:
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            assert compiledsim.warmup() == "numpy"
+    finally:
+        runtime._reset_for_tests()
 
 
 def test_unknown_jit_tier_rejected(small):
     # No option picks the tier: jit= is an unknown keyword everywhere.
     with pytest.raises(TypeError, match="jit"):
-        CompiledSimBackend(jit="cc")
+        resolve_backend("compiled", jit="cc")
     with pytest.raises(TypeError, match="jit"):
         color_graph(small, "data-ldg", backend="compiled",
                     backend_opts={"jit": "cc"})
@@ -180,13 +230,11 @@ def test_c_compiler_on_path_engages_cc_tier():
     assert compiledsim.warmup() == "cc"
 
 
-@pytest.mark.filterwarnings("ignore:backend='compiled'")
+@pytest.mark.filterwarnings("ignore:the simulator's C kernels")
 def test_concurrent_runs_see_one_tier(small, monkeypatch):
     # Threads racing to resolve the tier build the kernel table once and
-    # all run on it, so every backend reports the same tier.
+    # all run on it.
     from concurrent.futures import ThreadPoolExecutor
-
-    from repro.compiledsim import dispatch
 
     runtime._reset_for_tests()
     builds = []
@@ -198,48 +246,38 @@ def test_concurrent_runs_see_one_tier(small, monkeypatch):
         return real_try_cc()
 
     monkeypatch.setattr(runtime, "_try_cc", slow_try_cc)
-    seen = []
-    real_scope = dispatch.scope
-
-    @contextmanager
-    def spying_scope():
-        with real_scope():
-            seen.append(dispatch._K)
-            yield
-
-    monkeypatch.setattr(dispatch, "scope", spying_scope)
 
     def run():
-        backend = CompiledSimBackend()
-        color_graph(small, "data-ldg", backend=backend)
-        return backend.tier
+        color_graph(small, "data-ldg")
+        return runtime.current_tier(), runtime.kernels()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(run) for _ in range(4)]
-            tiers = [f.result(timeout=120) for f in futures]
+            seen = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert len(builds) == 1
-    assert set(tiers) == {runtime.current_tier()}
     kernels = runtime.get_kernels()[1]
-    assert len(seen) == 4 and all(k is kernels for k in seen)
+    assert all(tier == runtime.current_tier() and table is kernels
+               for tier, table in seen)
 
 
-def test_dispatch_declines_outside_scope():
-    # Outside an active run scope every dispatch hook returns None, so
-    # plain NumPy callers never accidentally route through the JIT.
+def test_dispatch_declines_on_numpy_tier(numpy_tier):
+    # On the NumPy tier every dispatch hook returns None, so each call
+    # site runs its vectorized path.
     from repro.compiledsim import dispatch
 
     seg = np.zeros(4, dtype=np.int64)
     cols = np.ones(4, dtype=np.int32)
     assert not dispatch.active()
     assert dispatch.mex_sorted(seg, cols, 1) is None
+    assert dispatch.pack_mask(np.ones(4, dtype=bool)) is None
 
 
-def test_fresh_mex_stamp_cannot_fake_forbidden_colors(monkeypatch):
+def test_fresh_mex_stamp_cannot_fake_forbidden_colors(monkeypatch, cc_tier):
     # The mex stamp array is never cleared: a color counts as forbidden
     # when its stamp equals the segment's generation.  Memory recycled
     # from earlier arrays can hold such values, so a fresh arena's stamp
@@ -247,8 +285,6 @@ def test_fresh_mex_stamp_cannot_fake_forbidden_colors(monkeypatch):
     from repro.coloring.kernels import _mex_sort
     from repro.compiledsim import dispatch
 
-    if runtime.get_kernels()[1] is None:
-        pytest.skip("no C tier on this host")
     real_empty = np.empty
 
     def recycled_empty(shape, dtype=float, **kwargs):
@@ -260,29 +296,30 @@ def test_fresh_mex_stamp_cannot_fake_forbidden_colors(monkeypatch):
     cols = np.array([1, 3, 2], dtype=np.int32)
     dispatch._reset_for_tests()  # no idle arena: the call allocates one
     monkeypatch.setattr(np, "empty", recycled_empty)
-    with dispatch.scope():
-        got = dispatch.mex_sorted(seg, cols, 2)
+    got = dispatch.mex_sorted(seg, cols, 2)
     monkeypatch.undo()
     dispatch._reset_for_tests()
     assert np.array_equal(got, _mex_sort(seg, cols, 2))
 
 
 def test_concurrent_compiled_runs_match_gpusim(medium, monkeypatch):
-    # Device.commit_pair prices on a helper thread only on multi-core
-    # hosts; force that branch so three concurrent compiled runs keep up
-    # to six hook calls in flight at once on a two-core host.
+    # Device.commit_pair prices on a helper thread only for long launch
+    # pairs on multi-core hosts; force that branch so three concurrent
+    # default-backend runs keep up to six hook calls in flight at once.
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.compiledsim import dispatch
+    from repro.gpusim import device
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    ref = color_graph(medium, "topo-ldg")
+    monkeypatch.setattr(device, "_MULTICORE", True)
+    monkeypatch.setattr(device, "OVERLAP_MIN_TRANSACTIONS", 0)
+    with _numpy_reference():
+        ref = color_graph(medium, "topo-ldg")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
     try:
         with ThreadPoolExecutor(max_workers=3) as pool:
             futures = [
-                pool.submit(color_graph, medium, "topo-ldg", backend="compiled")
+                pool.submit(color_graph, medium, "topo-ldg")
                 for _ in range(3)
             ]
             results = [f.result(timeout=300) for f in futures]
@@ -290,8 +327,25 @@ def test_concurrent_compiled_runs_match_gpusim(medium, monkeypatch):
         sys.setswitchinterval(interval)
     for res in results:
         _assert_identical(ref, res)
-    # The last scope out deactivates the shared kernel table.
-    assert not dispatch.active()
+
+
+def test_retained_scratch_is_bounded(cc_tier):
+    # Idle arenas keep only small buffers between calls: a paper-scale
+    # mesh run leaves ~1-2 MB per arena, not n-row radix buffers (it was
+    # ~25 MB per arena when every buffer was kept at its peak size).
+    from repro.compiledsim import dispatch
+    from repro.graph.generators.suite import load_graph
+
+    graph = load_graph("thermal2", scale_div=16)
+    dispatch._reset_for_tests()
+    color_graph(graph, "data-ldg")
+    arenas = dispatch._ARENAS
+    assert arenas
+    sizes = [buf.nbytes for a in arenas for buf, _ in a.buffers.values()]
+    assert max(sizes) <= dispatch.RETAIN_BYTES
+    assert dispatch.retained_bytes() == sum(sizes)
+    assert dispatch.retained_bytes() <= len(arenas) * 3 * 2**20
+    dispatch._reset_for_tests()
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +438,7 @@ def test_normalize_config_passthrough_without_config():
 
 def test_compiled_shares_cache_fingerprint_with_gpusim():
     assert backend_fingerprint("compiled") == backend_fingerprint("gpusim")
-    assert backend_fingerprint(CompiledSimBackend()) == \
+    assert backend_fingerprint(resolve_backend("compiled")) == \
         backend_fingerprint(resolve_backend("gpusim"))
     assert backend_fingerprint("cpusim") != backend_fingerprint("gpusim")
 

@@ -4,7 +4,7 @@ fallback target is deterministic.
 
 Chains under test (see docs/ROBUSTNESS.md):
 
-* mex kernel: bitmask → sort on word-budget overflow
+* mex kernel (NumPy tier): bitmask → sort on word-budget overflow
 * scheduler: process pool → fault-free serial pass on exhausted retries
 * result cache: corrupt disk entry → quarantined miss → clean recompute
 * sharded: shard failures → one unsharded sequential run;
@@ -50,7 +50,10 @@ def _one_mex_word(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_MEX_WORDS", 1)
 
 
-def test_mex_overflow_degrades_to_sort_byte_identically(monkeypatch):
+def test_mex_overflow_degrades_to_sort_byte_identically(monkeypatch,
+                                                       numpy_tier):
+    # The bitmask kernel is the NumPy tier's mex; the C tier has no word
+    # budget (see test_mex_overflow_cannot_happen_on_the_c_tier).
     g = complete_graph(70)  # 70 colors > one 64-color bitmask word
     healthy = color_graph(g, "data-ldg")
     _one_mex_word(monkeypatch)
@@ -61,6 +64,19 @@ def test_mex_overflow_degrades_to_sort_byte_identically(monkeypatch):
     mex = [d for d in events if d["chain"] == "mex"]
     assert mex and mex[0]["from"] == "bitmask" and mex[0]["to"] == "sort"
     assert mex[0]["reason"] == "word-budget-overflow"
+
+
+def test_mex_overflow_cannot_happen_on_the_c_tier(monkeypatch, cc_tier):
+    # The C wave loop's stamp array covers any palette: a 70-color
+    # coloring under the same one-word budget gives the same colors and
+    # records no mex degradation.
+    g = complete_graph(70)
+    healthy = color_graph(g, "data-ldg")
+    _one_mex_word(monkeypatch)
+    result = color_graph(g, "data-ldg", health="default")
+    assert np.array_equal(healthy.colors, result.colors)
+    assert result.num_colors == 70
+    assert "mex" not in _chains(result)
 
 
 def test_mex_overflow_unobserved_without_a_bundle(monkeypatch):

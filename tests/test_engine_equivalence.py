@@ -6,6 +6,11 @@ loops as they existed *before* the extraction of ``repro.engine`` (commit
 array bytes, iteration count, and color count for every evaluated device
 scheme plus the ablation knobs.  The engine refactor promised byte-identical
 colorings and identical iteration counts — this file holds it to that.
+
+Every leg runs once per kernel tier: on the C tier every run uses by
+default, and on the pure-NumPy fallback a host without a C compiler
+runs.  The C-tier cells keep their historical ids; the NumPy-tier cells
+carry a ``numpy-`` prefix.
 """
 
 import hashlib
@@ -71,6 +76,25 @@ GOLDEN = {
     ("G3_circuit", "csrcolor", ()): ("b16ef1c659be622d", 7, 36),
 }
 
+#: cpusim (multicore Xeon model), default knobs: (graph, method) ->
+#: (sha256(colors)[:16], iterations, num_colors, total_time_us).  Captured
+#: on the NumPy path, the only one cpusim ran before the C tier served it.
+CPUSIM_GOLDEN = {
+    ("rmat-er", "topo-ldg"): ("369bc0ae9c666742", 3, 12, 351.7264957264958),
+    ("rmat-er", "data-ldg"): ("369bc0ae9c666742", 2, 12, 245.17777777777778),
+    ("rmat-er", "3step-gm"): ("8978d78cbdfa2106", 3, 13, 431.57504273504276),
+    ("rmat-er", "csrcolor"): ("ef7fe01c7e0beb43", 37, 127, 663.7636467236466),
+    ("rmat-g", "topo-ldg"): ("640b6dc51337b7af", 3, 18, 350.34188034188037),
+    ("rmat-g", "data-ldg"): ("24b84e671f0c247d", 3, 18, 262.734358974359),
+    ("thermal2", "topo-base"): ("338853cebf379600", 8, 7, 577.3767521367521),
+    ("thermal2", "data-ldg"): ("1a77efdeee975531", 7, 7, 342.4386324786325),
+    ("thermal2", "3step-gm"): ("e750683cd2b8fae9", 8, 8, 395.5297008547009),
+    ("atmosmodd", "data-base"): ("3ddc42b0215a9715", 5, 6, 158.77675213675212),
+    ("Hamrle3", "topo-ldg"): ("62b531e89355fab4", 3, 8, 215.03555555555556),
+    ("G3_circuit", "data-ldg"): ("5f7b314e908612e8", 5, 7, 255.7323076923077),
+    ("G3_circuit", "3step-gm"): ("2b7c1bfbb9eb7121", 8, 7, 397.6147863247863),
+}
+
 _GRAPH_CACHE = {}
 
 
@@ -80,15 +104,29 @@ def _graph(name):
     return _GRAPH_CACHE[name]
 
 
+def _digest(result):
+    return hashlib.sha256(result.colors.tobytes()).hexdigest()[:16]
+
+
+def _per_tier(cells):
+    """``cells`` once per tier, as ``(tier, *cell)`` params."""
+    for tier in ("cc", "numpy"):
+        for cell in cells:
+            cell_id = "-".join(str(v).replace(" ", "") for v in cell)
+            yield pytest.param(
+                tier, *cell,
+                id=cell_id if tier == "cc" else f"numpy-{cell_id}",
+            )
+
+
 @pytest.mark.parametrize(
-    ("gname", "method", "kwargs"),
-    sorted(GOLDEN),
-    ids=lambda v: str(v).replace(" ", ""),
+    ("tier", "gname", "method", "kwargs"), _per_tier(sorted(GOLDEN))
 )
-def test_engine_matches_pre_refactor_driver(gname, method, kwargs):
+def test_engine_matches_pre_refactor_driver(request, tier, gname, method,
+                                            kwargs):
+    request.getfixturevalue(f"{tier}_tier")
     result = color_graph(_graph(gname), method, **dict(kwargs))
-    digest = hashlib.sha256(result.colors.tobytes()).hexdigest()[:16]
-    assert (digest, result.iterations, result.num_colors) == GOLDEN[
+    assert (_digest(result), result.iterations, result.num_colors) == GOLDEN[
         (gname, method, kwargs)
     ]
 
@@ -99,11 +137,22 @@ def test_engine_matches_pre_refactor_driver(gname, method, kwargs):
     ids=lambda v: str(v).replace(" ", ""),
 )
 def test_compiled_backend_matches_goldens(gname, method, kwargs):
-    """The JIT backend reproduces every golden cell byte-for-byte."""
+    """The ``"compiled"`` alias runs the default backend: same goldens."""
     result = color_graph(
         _graph(gname), method, backend="compiled", **dict(kwargs)
     )
-    digest = hashlib.sha256(result.colors.tobytes()).hexdigest()[:16]
-    assert (digest, result.iterations, result.num_colors) == GOLDEN[
+    assert (_digest(result), result.iterations, result.num_colors) == GOLDEN[
         (gname, method, kwargs)
     ]
+
+
+@pytest.mark.parametrize(
+    ("tier", "gname", "method"), _per_tier(sorted(CPUSIM_GOLDEN))
+)
+def test_cpusim_matches_goldens(request, tier, gname, method):
+    request.getfixturevalue(f"{tier}_tier")
+    result = color_graph(_graph(gname), method, backend="cpusim")
+    assert (
+        _digest(result), result.iterations, result.num_colors,
+        result.total_time_us,
+    ) == CPUSIM_GOLDEN[(gname, method)]

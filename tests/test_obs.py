@@ -331,6 +331,25 @@ def test_cli_color_observe_flags(tmp_path, capsys):
             main(["color", "--graph", "rmat-er", "--observe", retired])
 
 
+def test_cli_batch_observe_prints_the_trace(capsys):
+    # Without --trace-out the batch trace is printed, not dropped: the
+    # flame summary, then one per-round table with a row block per graph.
+    from repro.cli import main
+
+    rc = main([
+        "batch", "--graphs", "rmat-er", "thermal2", "--method", "data-ldg",
+        "--scale-div", "1024", "--observe", "trace",
+    ])
+    assert rc == 0
+    out_text = capsys.readouterr().out
+    assert 0 <= out_text.index("flame summary") < out_text.index("per-round trace:")
+    table = out_text[out_text.index("per-round trace:"):].splitlines()
+    assert table[1].split() == ["graph", "round", "active", "conflicts", "us"]
+    graphs = [line.split()[0] for line in table[3:] if line.strip()]
+    assert graphs[0] == "rmat-er" and graphs[-1] == "thermal2"
+    assert set(graphs) == {"rmat-er", "thermal2"}
+
+
 # ----------------------------------------------------------------- edge cases
 def test_empty_graph_traces_cleanly():
     g = from_edges([], [], num_vertices=0, name="empty")
