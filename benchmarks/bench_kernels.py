@@ -92,22 +92,15 @@ FUNCTIONAL = ("sim_us", "iterations", "num_colors")
 
 @contextmanager
 def forced_tier(tier: str):
-    """Run the block on ``tier``; ``"numpy"`` forces the fallback.
-
-    The same forcing the test suite's ``numpy_tier`` fixture applies:
-    with the resolved table set to none, every dispatch hook declines.
-    """
-    if tier == "cc":
-        if runtime.get_kernels()[0] != "cc":
-            raise RuntimeError("no C tier on this host")
-        yield
+    """Run the block on ``tier``; ``"numpy"`` forces the fallback the
+    same way the test suite's ``numpy_tier`` fixture does."""
+    if tier == "numpy":
+        with runtime._forced_numpy_tier():
+            yield
         return
-    saved = runtime._resolved
-    runtime._resolved = ("numpy", None)
-    try:
-        yield
-    finally:
-        runtime._resolved = saved
+    if runtime.get_kernels()[0] != "cc":
+        raise RuntimeError("no C tier on this host")
+    yield
 
 
 def available_tiers() -> tuple[str, ...]:
@@ -359,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed speedup shortfall vs the record "
                              "(default 2.0)")
     parser.add_argument("--backend", default=None,
-                        choices=("gpusim", "cpusim", "compiled"),
+                        choices=("gpusim", "cpusim"),
                         help="run the end-to-end cells on this backend "
                              "(default: the library default)")
     parser.add_argument("--out", type=Path,

@@ -118,6 +118,29 @@ def upload_graph(device, graph: CSRGraph, *, charge_transfer: bool = False) -> G
     return GraphBuffers(R=R, C=C, colors=colors, aux=aux)
 
 
+#: Process-wide read-only ``arange``: the plans' identity streams are
+#: prefix views of it instead of per-graph copies of ``0..m-1``.
+_IOTA = np.arange(0, dtype=np.int64)
+_IOTA.setflags(write=False)
+
+
+def _iota(size: int) -> np.ndarray:
+    """Read-only ``arange(size)``, a view of :data:`_IOTA` when that fits.
+
+    The shared array grows to the largest request; a view is only handed
+    out while the array is at most twice ``size``, so a small graph's
+    plan never pins a much larger array after its graph is gone.
+    """
+    global _IOTA
+    base = _IOTA
+    if base.size < size or base.size > 2 * size:
+        base = np.arange(size, dtype=np.int64)
+        base.setflags(write=False)
+        if size > _IOTA.size:
+            _IOTA = base
+    return base[:size]
+
+
 class ExpansionPlan:
     """Per-graph full-adjacency expansion, computed once and reused.
 
@@ -125,7 +148,8 @@ class ExpansionPlan:
     ``repeat``/``cumsum`` pass — ``seg`` (edge -> owner position), ``step``
     (trip index within the owner's neighbor loop) and ``edge_idx``
     (identity, since the full expansion enumerates ``C`` in order) — are
-    materialized once per graph and frozen.  Round/wave slices are then
+    materialized once per graph and frozen (``edge_idx`` and ``all_ids``
+    as views of one shared ``arange``).  Round/wave slices are then
     derived by gather instead of re-expansion.  Memoized on the graph via
     :func:`get_expansion_plan` (the CSR arrays are immutable, so the plan
     cannot go stale).
@@ -138,11 +162,11 @@ class ExpansionPlan:
         m = graph.num_edges
         lens = np.diff(graph.row_offsets)
         starts = graph.row_offsets[:-1].astype(np.int64)
-        edge_idx = np.arange(m, dtype=np.int64)
-        seg = np.repeat(np.arange(n, dtype=np.int64), lens)
+        edge_idx = _iota(m)
+        all_ids = _iota(n)
+        seg = np.repeat(all_ids, lens)
         step = edge_idx - starts[seg] if m else edge_idx
-        all_ids = np.arange(n, dtype=np.int64)
-        for arr in (seg, step, edge_idx, all_ids, starts, lens):
+        for arr in (seg, step, starts, lens):
             arr.setflags(write=False)
         self.seg = seg
         self.step = step

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import runtime
 
-__all__ = ["active", "retained_bytes", "RETAIN_BYTES"]
+__all__ = ["active", "RETAIN_BYTES"]
 
 #: Largest scratch buffer an idle arena keeps for the next call.  Reuse
 #: pays on the many short streams of small launches, where allocation is
@@ -141,14 +141,6 @@ def _arena():
         arena.held.clear()
         with _ARENA_LOCK:
             _ARENAS.append(arena)
-
-
-def retained_bytes() -> int:
-    """Bytes of scratch the idle arenas keep between calls."""
-    with _ARENA_LOCK:
-        return sum(
-            buf.nbytes for arena in _ARENAS for buf, _ in arena.buffers.values()
-        )
 
 
 def active() -> bool:

@@ -17,13 +17,26 @@ only, never colors or simulated times.
 
 from __future__ import annotations
 
+import os
 import threading
 import warnings
+from contextlib import contextmanager
 
 __all__ = ["get_kernels", "kernels", "current_tier", "warmup"]
 
 _resolved: tuple[str, dict | None] | None = None
 _RESOLVE_LOCK = threading.Lock()
+
+
+def _after_fork() -> None:
+    # A fork taken while another thread was resolving (the lock is held
+    # for a whole cold build) would leave the child's copy locked
+    # forever; the child resolves on its own instead.
+    global _RESOLVE_LOCK
+    _RESOLVE_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork)
 
 
 def _try_cc() -> dict | None:
@@ -85,6 +98,23 @@ def warmup() -> str:
     start hot instead of paying it inside their first job.
     """
     return get_kernels()[0]
+
+
+@contextmanager
+def _forced_numpy_tier():
+    """Run the block on the NumPy tier, as on a host with no compiler.
+
+    Every dispatch hook declines while the block runs, and pool workers
+    forked inside it inherit the forced tier.  For tests and the kernel
+    benchmark, which compare the two tiers in one process.
+    """
+    global _resolved
+    saved = _resolved
+    _resolved = ("numpy", None)
+    try:
+        yield
+    finally:
+        _resolved = saved
 
 
 def _reset_for_tests() -> None:

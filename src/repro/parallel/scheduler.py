@@ -237,9 +237,9 @@ def _worker_init(backend, backend_opts: dict) -> None:
         graphs=_GraphLRU(_HEAP_GRAPH_CACHE),
         attached=_GraphLRU(_ATTACHED_GRAPH_CACHE),
     )
-    # Pay the one-time kernel build/load during pool spin-up instead of
-    # inside the first job; the disk-cached build makes this a few ms
-    # for every worker after the first ever.
+    # A forked worker inherits the coordinator's resolved table (see
+    # ``_new_pool``) and this returns at once; a spawned one loads the
+    # disk-cached build here instead of inside its first job.
     compiledsim.warmup()
 
 
@@ -435,6 +435,9 @@ class ProcessPoolScheduler:
         self.pools_recycled = 0  # observability: how often a pool was rebuilt
 
     def _new_pool(self, backend, backend_opts):
+        # Resolve the kernel tier before any worker forks, so workers
+        # inherit the table instead of each building or loading it.
+        compiledsim.warmup()
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=self.mp_context,

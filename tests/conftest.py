@@ -115,7 +115,7 @@ def any_graph(request):
 
 
 @pytest.fixture
-def numpy_tier(monkeypatch):
+def numpy_tier():
     """Run the test on the pure-NumPy tier, as on a host with no compiler.
 
     Every dispatch hook then declines and each call site takes its
@@ -123,7 +123,8 @@ def numpy_tier(monkeypatch):
     """
     from repro.compiledsim import runtime
 
-    monkeypatch.setattr(runtime, "_resolved", ("numpy", None))
+    with runtime._forced_numpy_tier():
+        yield
 
 
 @pytest.fixture
