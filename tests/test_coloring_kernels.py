@@ -34,6 +34,23 @@ def test_expand_segments_isolated(isolated):
     assert seg.size == 0
 
 
+def test_plans_share_their_identity_streams(monkeypatch):
+    # Plans of similar graphs view one shared arange instead of each
+    # holding 0..m-1; a much smaller graph gets its own, so it cannot pin
+    # a large array after the large graph is gone.
+    from repro.coloring import kernels
+
+    monkeypatch.setattr(kernels, "_IOTA", kernels._IOTA[:0])
+    graphs = (cycle_graph(200), cycle_graph(180), cycle_graph(6))
+    plans = [kernels.ExpansionPlan(g) for g in graphs]
+    for g, plan in zip(graphs, plans):
+        assert np.array_equal(plan.edge_idx, np.arange(g.num_edges))
+        assert np.array_equal(plan.all_ids, np.arange(g.num_vertices))
+        assert not plan.edge_idx.flags.writeable
+    assert np.shares_memory(plans[0].edge_idx, plans[1].edge_idx)
+    assert not np.shares_memory(plans[0].edge_idx, plans[2].edge_idx)
+
+
 # --------------------------------------------------------------------- mex
 def _mex_reference(seg_ids, colors, n):
     out = np.ones(n, dtype=np.int64)
